@@ -56,7 +56,15 @@ func (idx *moduleIndex) lookup(fn *types.Func) (*ast.FuncDecl, *Package) {
 // function or a method called on a concrete receiver. Calls through
 // interfaces, function values, and struct function fields resolve to nil.
 func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
+	fun := ast.Unparen(call.Fun)
+	// An explicit instantiation — f[T](…), pkg.F[T, U](…) — calls f.
+	switch ix := fun.(type) {
+	case *ast.IndexExpr:
+		fun = ast.Unparen(ix.X)
+	case *ast.IndexListExpr:
+		fun = ast.Unparen(ix.X)
+	}
+	switch fun := fun.(type) {
 	case *ast.Ident:
 		if fn, ok := info.Uses[fun].(*types.Func); ok {
 			return fn

@@ -15,6 +15,8 @@ package coding
 
 import (
 	"fmt"
+
+	"github.com/coded-computing/s2c2/internal/gf"
 )
 
 // Range is a half-open row-index interval [Lo, Hi) within a partition.
@@ -76,23 +78,39 @@ func AppendNormalizeRanges(dst []Range, ranges []Range) []Range {
 	return out
 }
 
-// Partial is the result a worker returns for one round: the values of its
-// assigned rows of the coded computation. Values holds the computed rows
-// concatenated in range order; for vector results each row contributes one
-// float64, for matrix results RowWidth values per row.
-type Partial struct {
+// PartialOf is the result a worker returns for one round: the values of
+// its assigned rows of the coded computation, over float64 or exact
+// GF(2³¹−1) elements. Values holds the computed rows concatenated in range
+// order, RowWidth values per row (lane l of covered row r at
+// Values[r*RowWidth+l]).
+type PartialOf[E float64 | gf.Elem] struct {
 	Worker   int
 	Ranges   []Range
 	RowWidth int
-	Values   []float64
+	Values   []E
 }
 
+// Partial is a float64 partial result.
+type Partial = PartialOf[float64]
+
+// GFPartial is an exact partial result. RowWidth 0 is read as 1 (Width) so
+// zero-valued partials from single-x paths stay valid.
+type GFPartial = PartialOf[gf.Elem]
+
 // NumRows returns how many partition rows the partial covers.
-func (p *Partial) NumRows() int { return TotalRows(p.Ranges) }
+func (p *PartialOf[E]) NumRows() int { return TotalRows(p.Ranges) }
+
+// Width returns the partial's row width, treating the zero value as 1.
+func (p *PartialOf[E]) Width() int {
+	if p.RowWidth <= 0 {
+		return 1
+	}
+	return p.RowWidth
+}
 
 // Validate checks internal consistency of the partial. It applies the
 // same checks rowTable.add runs when the partial enters a decode.
-func (p *Partial) Validate(blockRows int) error {
+func (p *PartialOf[E]) Validate(blockRows int) error {
 	return validatePartial(p.Worker, p.Ranges, len(p.Values), p.RowWidth, blockRows)
 }
 

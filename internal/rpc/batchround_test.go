@@ -3,10 +3,9 @@ package rpc
 // batchround_test.go covers the batched multi-x round path end to end:
 // the acceptance property (a width-w distributed round is bit-exact per
 // lane against w independent local computes on GF, and within rounding on
-// float64, on both transports), the master-side zero-allocation bar for
-// batched frames, and the hostile-input guards on the new batch frame
-// types (widths and value counts rejected before allocation, all lanes
-// land or none do).
+// float64), the master-side zero-allocation bar at width > 1, and the
+// hostile-input guards on widths (widths and value counts rejected before
+// allocation, all lanes land or none do).
 
 import (
 	"bytes"
@@ -23,7 +22,7 @@ import (
 )
 
 // batchWidths are the round widths the exactness properties sweep. Width
-// 1 is included deliberately: it must ride the legacy single-x frames.
+// 1 is included deliberately: it runs the single-x kernel.
 var batchWidths = []int{1, 2, 4, 8}
 
 // runGFBatchTrial runs one randomized batched GF cluster trial: random
@@ -31,7 +30,7 @@ var batchWidths = []int{1, 2, 4, 8}
 // timeout + reassignment path, then requires the width-w distributed
 // round to decode bit-exactly, lane by lane, against w independent local
 // ground-truth products.
-func runGFBatchTrial(t *testing.T, rng *rand.Rand, useGob bool, w int) {
+func runGFBatchTrial(t *testing.T, rng *rand.Rand, w int) {
 	t.Helper()
 	n := 2 + rng.Intn(4)
 	k := 1 + rng.Intn(n)
@@ -47,7 +46,7 @@ func runGFBatchTrial(t *testing.T, rng *rand.Rand, useGob bool, w int) {
 	m := startTestCluster(t, n, clusterConfig{
 		master: MasterConfig{StallTimeout: 20 * time.Second, ReuseRound: rng.Intn(2) == 0},
 		worker: func(i int) WorkerConfig {
-			cfg := WorkerConfig{UseGob: useGob, Slowdown: 1, PerRowDelay: 200 * time.Microsecond}
+			cfg := WorkerConfig{Slowdown: 1, PerRowDelay: 200 * time.Microsecond}
 			if i == straggler {
 				cfg.Slowdown = 100
 			}
@@ -83,10 +82,10 @@ func runGFBatchTrial(t *testing.T, rng *rand.Rand, useGob bool, w int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		partials, _, err := m.RunGFRoundBatch(iter, 0, xs, w, plan, k, frac)
+		partials, _, err := m.def.RunGFRoundBatch(iter, 0, xs, w, plan, k, frac)
 		if err != nil {
-			t.Fatalf("n=%d k=%d rows=%d cols=%d w=%d straggler=%d gob=%v: %v",
-				n, k, rows, cols, w, straggler, useGob, err)
+			t.Fatalf("n=%d k=%d rows=%d cols=%d w=%d straggler=%d: %v",
+				n, k, rows, cols, w, straggler, err)
 		}
 		// Every delivered partial is bit-identical to recomputing the same
 		// batched ranges locally (worker kernel == local kernel).
@@ -112,8 +111,8 @@ func runGFBatchTrial(t *testing.T, rng *rand.Rand, useGob bool, w int) {
 			want := gfGroundTruth(rows, cols, data, xs[l*cols:(l+1)*cols])
 			for r := range want {
 				if got[r*w+l] != want[r] {
-					t.Fatalf("n=%d k=%d rows=%d cols=%d w=%d lane=%d gob=%v iter=%d: row %d decodes to %d, local compute says %d",
-						n, k, rows, cols, w, l, useGob, iter, r, got[r*w+l], want[r])
+					t.Fatalf("n=%d k=%d rows=%d cols=%d w=%d lane=%d iter=%d: row %d decodes to %d, local compute says %d",
+						n, k, rows, cols, w, l, iter, r, got[r*w+l], want[r])
 				}
 			}
 		}
@@ -122,119 +121,104 @@ func runGFBatchTrial(t *testing.T, rng *rand.Rand, useGob bool, w int) {
 
 // TestGFRoundBatchExactness is the batched acceptance property on the
 // exact path: a width-w distributed GF round equals w independent local
-// products bit-exactly, per lane, across widths, transports, and
-// straggler patterns.
+// products bit-exactly, per lane, across widths and straggler patterns.
 func TestGFRoundBatchExactness(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		useGob bool
-	}{
-		{"wire", false},
-		{"gob", true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(210))
-			trials := 2
-			if testing.Short() {
-				trials = 1
+	// The rounds run over the wire transport.
+	t.Run("wire", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(210))
+		trials := 2
+		if testing.Short() {
+			trials = 1
+		}
+		for _, w := range batchWidths {
+			for trial := 0; trial < trials; trial++ {
+				runGFBatchTrial(t, rng, w)
 			}
-			for _, w := range batchWidths {
-				for trial := 0; trial < trials; trial++ {
-					runGFBatchTrial(t, rng, tc.useGob, w)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestRoundBatchExactness is the float64 counterpart: every lane of a
 // width-w distributed round approximates A·x_l, each delivered partial is
-// bit-identical to a local recompute of the same batched ranges, and both
-// transports agree with the direct product within rounding.
+// bit-identical to a local recompute of the same batched ranges, and the
+// decode agrees with the direct product within rounding.
 func TestRoundBatchExactness(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		useGob bool
-	}{
-		{"wire", false},
-		{"gob", true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(211))
-			for _, w := range batchWidths {
-				n := 3 + rng.Intn(3)
-				k := 1 + rng.Intn(n)
-				rows := 4 + rng.Intn(40)
-				cols := 1 + rng.Intn(9)
-				m := startTestCluster(t, n, clusterConfig{
-					worker: func(i int) WorkerConfig {
-						return WorkerConfig{UseGob: tc.useGob, Slowdown: 1, PerRowDelay: 100 * time.Microsecond}
-					},
-				})
-				a := mat.Rand(rows, cols, rng)
-				code, err := coding.NewMDSCode(n, k)
-				if err != nil {
-					t.Fatal(err)
+	// The rounds run over the wire transport.
+	t.Run("wire", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(211))
+		for _, w := range batchWidths {
+			n := 3 + rng.Intn(3)
+			k := 1 + rng.Intn(n)
+			rows := 4 + rng.Intn(40)
+			cols := 1 + rng.Intn(9)
+			m := startTestCluster(t, n, clusterConfig{
+				worker: func(i int) WorkerConfig {
+					return WorkerConfig{Slowdown: 1, PerRowDelay: 100 * time.Microsecond}
+				},
+			})
+			a := mat.Rand(rows, cols, rng)
+			code, err := coding.NewMDSCode(n, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			enc := code.Encode(a)
+			if err := m.DistributePartitions(0, enc); err != nil {
+				t.Fatal(err)
+			}
+			strat := &sched.GeneralS2C2{N: n, K: k, BlockRows: enc.BlockRows, Granularity: enc.BlockRows}
+			speeds := make([]float64, n)
+			for i := range speeds {
+				speeds[i] = 1
+			}
+			plan, err := strat.Plan(speeds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			xs := make([]float64, w*cols)
+			for i := range xs {
+				xs[i] = rng.NormFloat64()
+			}
+			partials, _, err := m.RunRoundBatch(0, 0, xs, w, plan, k, 10.0)
+			if err != nil {
+				t.Fatalf("n=%d k=%d w=%d: %v", n, k, w, err)
+			}
+			for _, p := range partials {
+				// Width 1 runs the single-x kernel on the worker;
+				// mirror that path locally so the comparison is bit-exact.
+				var local *coding.Partial
+				if w == 1 {
+					local = enc.WorkerCompute(p.Worker, xs, p.Ranges)
+				} else {
+					local = enc.WorkerComputeBatchInto(p.Worker, xs, w, p.Ranges, nil)
 				}
-				enc := code.Encode(a)
-				if err := m.DistributePartitions(0, enc); err != nil {
-					t.Fatal(err)
+				if len(local.Values) != len(p.Values) {
+					t.Fatalf("worker %d: rpc delivered %d values, local compute %d", p.Worker, len(p.Values), len(local.Values))
 				}
-				strat := &sched.GeneralS2C2{N: n, K: k, BlockRows: enc.BlockRows, Granularity: enc.BlockRows}
-				speeds := make([]float64, n)
-				for i := range speeds {
-					speeds[i] = 1
-				}
-				plan, err := strat.Plan(speeds)
-				if err != nil {
-					t.Fatal(err)
-				}
-				xs := make([]float64, w*cols)
-				for i := range xs {
-					xs[i] = rng.NormFloat64()
-				}
-				partials, _, err := m.RunRoundBatch(0, 0, xs, w, plan, k, 10.0)
-				if err != nil {
-					t.Fatalf("n=%d k=%d w=%d gob=%v: %v", n, k, w, tc.useGob, err)
-				}
-				for _, p := range partials {
-					// Width 1 rides the legacy single-x kernel on the worker;
-					// mirror that path locally so the comparison is bit-exact.
-					var local *coding.Partial
-					if w == 1 {
-						local = enc.WorkerCompute(p.Worker, xs, p.Ranges)
-					} else {
-						local = enc.WorkerComputeBatchInto(p.Worker, xs, w, p.Ranges, nil)
-					}
-					if len(local.Values) != len(p.Values) {
-						t.Fatalf("worker %d: rpc delivered %d values, local compute %d", p.Worker, len(p.Values), len(local.Values))
-					}
-					for q := range p.Values {
-						if p.Values[q] != local.Values[q] {
-							t.Fatalf("worker %d value %d: rpc %v != local %v", p.Worker, q, p.Values[q], local.Values[q])
-						}
-					}
-				}
-				got, err := enc.DecodeMatVec(partials)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(got) != rows*w {
-					t.Fatalf("w=%d: decode length %d want %d", w, len(got), rows*w)
-				}
-				lane := make([]float64, rows)
-				for l := 0; l < w; l++ {
-					want := mat.MatVec(a, xs[l*cols:(l+1)*cols])
-					for r := 0; r < rows; r++ {
-						lane[r] = got[r*w+l]
-					}
-					if !mat.VecApproxEqual(lane, want, 1e-8) {
-						t.Fatalf("n=%d k=%d w=%d lane=%d gob=%v: decode drifted from A·x_l", n, k, w, l, tc.useGob)
+				for q := range p.Values {
+					if p.Values[q] != local.Values[q] {
+						t.Fatalf("worker %d value %d: rpc %v != local %v", p.Worker, q, p.Values[q], local.Values[q])
 					}
 				}
 			}
-		})
-	}
+			got, err := enc.DecodeMatVec(partials)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != rows*w {
+				t.Fatalf("w=%d: decode length %d want %d", w, len(got), rows*w)
+			}
+			lane := make([]float64, rows)
+			for l := 0; l < w; l++ {
+				want := mat.MatVec(a, xs[l*cols:(l+1)*cols])
+				for r := 0; r < rows; r++ {
+					lane[r] = got[r*w+l]
+				}
+				if !mat.VecApproxEqual(lane, want, 1e-8) {
+					t.Fatalf("n=%d k=%d w=%d lane=%d: decode drifted from A·x_l", n, k, w, l)
+				}
+			}
+		}
+	})
 }
 
 // TestGFRoundBatchTimeoutReassignment forces the §4.3 timeout on a
@@ -271,7 +255,7 @@ func TestGFRoundBatchTimeoutReassignment(t *testing.T) {
 		t.Fatal(err)
 	}
 	xs := randElems(rng, w*cols)
-	partials, stats, err := m.RunGFRoundBatch(0, 0, xs, w, plan, k, 0.15)
+	partials, stats, err := m.def.RunGFRoundBatch(0, 0, xs, w, plan, k, 0.15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +278,7 @@ func TestGFRoundBatchTimeoutReassignment(t *testing.T) {
 
 // batchGatherFixture builds a synthetic full width-w float64 round of
 // batched worker results against a real encoding, bypassing the network.
-func batchGatherFixture(tb testing.TB, w int) (*coding.EncodedMatrix, []*Result, []float64, []float64) {
+func batchGatherFixture(tb testing.TB, w int) (*coding.EncodedMatrix, []*Result[float64], []float64, []float64) {
 	rng := rand.New(rand.NewSource(213))
 	a := mat.Rand(600, 20, rng)
 	code, err := coding.NewMDSCode(10, 8)
@@ -306,10 +290,10 @@ func batchGatherFixture(tb testing.TB, w int) (*coding.EncodedMatrix, []*Result,
 	for i := range xs {
 		xs[i] = rng.Float64()
 	}
-	var results []*Result
+	var results []*Result[float64]
 	for _, wk := range []int{0, 1, 2, 3, 4, 5, 8, 9} {
 		p := enc.WorkerComputeBatchInto(wk, xs, w, []coding.Range{{Lo: 0, Hi: enc.BlockRows}}, nil)
-		results = append(results, &Result{
+		results = append(results, &Result[float64]{
 			Iter: 0, Phase: 0, Worker: wk, RowWidth: w, Ranges: p.Ranges, Values: p.Values,
 		})
 	}
@@ -333,63 +317,18 @@ func TestMasterWireBatchRoundZeroAllocsSteadyState(t *testing.T) {
 	}
 	const bw = 4
 	enc, results, xs, want := batchGatherFixture(t, bw)
-	n, k := 10, 8
-
-	var stream bytes.Buffer
-	sender := &wireConn{w: wire.NewWriter(&stream)}
-	for _, r := range results {
-		if err := sender.sendResult(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	src := bytes.NewReader(stream.Bytes())
-	tc := &wireConn{w: wire.NewWriter(io.Discard), r: wire.NewReader(src)}
-
-	m := &Master{cfg: MasterConfig{ReuseRound: true}}
+	h := newWireHarness(encodeResults(t, results))
+	m := newTestMaster(MasterConfig{ReuseRound: true})
 	decWS := enc.NewDecodeWorkspace()
 	dst := make([]float64, enc.OrigRows*bw)
 	assignment := []coding.Range{{Lo: 0, Hi: enc.BlockRows}}
-	msg := &Msg{}
-
 	runRound := func() {
-		ws := &m.def.round
-		m.recycleRound(ws)
-		ws.begin(n, enc.BlockRows, k, bw)
-		for w := 0; w < n; w++ {
-			ws.workMsg = Work{Iter: 0, Phase: 0, W: bw, X: xs, Ranges: assignment}
-			if err := tc.sendWork(&ws.workMsg); err != nil {
-				t.Fatal(err)
-			}
-		}
-		src.Reset(stream.Bytes())
-		tc.r.Reset(src)
-		for range results {
-			if err := tc.recv(msg); err != nil {
-				t.Fatal(err)
-			}
-			if msg.Kind != KindResult {
-				t.Fatalf("kind %d", msg.Kind)
-			}
-			r := m.getResult()
-			*r, msg.Result = msg.Result, *r
-			if err := ws.addResult(r, time.Millisecond); err != nil {
-				t.Fatal(err)
-			}
-			ws.retained = append(ws.retained, r)
-		}
-		if ws.needed != 0 {
-			t.Fatal("fixture round did not reach coverage")
-		}
-		partials, _, err := m.finishRound(ws)
-		if err != nil {
-			t.Fatal(err)
-		}
+		partials := steadyWireRound(t, h, &m.def, &m.def.f64, len(results), 10, 8, bw, xs, assignment)
 		if _, err := enc.DecodeMatVecInto(dst, partials, decWS); err != nil {
 			t.Fatal(err)
 		}
 	}
 	runRound() // warm: sizes the workspace, factors the decode set
-	_ = xs
 	if !mat.VecApproxEqual(dst, want, 1e-8) {
 		t.Fatal("batched gather+decode fixture produced a wrong result")
 	}
@@ -419,67 +358,23 @@ func TestMasterGFWireBatchRoundZeroAllocsSteadyState(t *testing.T) {
 		t.Fatal(err)
 	}
 	xs := randElems(rng, bw*cols)
-	var results []*GFResult
+	var results []*Result[gf.Elem]
 	for _, wk := range []int{0, 1, 2, 3, 4, 5, 8, 9} {
 		p, err := enc.WorkerMatVecBatch(wk, xs, bw, []coding.Range{{Lo: 0, Hi: enc.BlockRows}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		results = append(results, &GFResult{
+		results = append(results, &Result[gf.Elem]{
 			Iter: 0, Phase: 0, Worker: wk, RowWidth: bw, Ranges: p.Ranges, Values: p.Values,
 		})
 	}
-	n, k := 10, 8
-
-	var stream bytes.Buffer
-	sender := &wireConn{w: wire.NewWriter(&stream)}
-	for _, r := range results {
-		if err := sender.sendGFResult(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	src := bytes.NewReader(stream.Bytes())
-	tc := &wireConn{w: wire.NewWriter(io.Discard), r: wire.NewReader(src)}
-
-	m := &Master{cfg: MasterConfig{ReuseRound: true}}
+	h := newWireHarness(encodeResults(t, results))
+	m := newTestMaster(MasterConfig{ReuseRound: true})
 	decWS := enc.NewDecodeWorkspace()
 	dst := make([]gf.Elem, enc.OrigRows*bw)
 	assignment := []coding.Range{{Lo: 0, Hi: enc.BlockRows}}
-	msg := &Msg{}
-
 	runRound := func() {
-		ws := &m.def.gfRound
-		m.recycleGFRound(ws)
-		ws.begin(n, enc.BlockRows, k, bw)
-		for w := 0; w < n; w++ {
-			ws.workMsg = GFWork{Iter: 0, Phase: 0, W: bw, X: xs, Ranges: assignment}
-			if err := tc.sendGFWork(&ws.workMsg); err != nil {
-				t.Fatal(err)
-			}
-		}
-		src.Reset(stream.Bytes())
-		tc.r.Reset(src)
-		for range results {
-			if err := tc.recv(msg); err != nil {
-				t.Fatal(err)
-			}
-			if msg.Kind != KindGFResult {
-				t.Fatalf("kind %d", msg.Kind)
-			}
-			r := m.getGFResult()
-			*r, msg.GFResult = msg.GFResult, *r
-			if err := ws.addResult(r, time.Millisecond); err != nil {
-				t.Fatal(err)
-			}
-			ws.retained = append(ws.retained, r)
-		}
-		if ws.needed != 0 {
-			t.Fatal("fixture round did not reach coverage")
-		}
-		partials, _, err := m.finishGFRound(ws)
-		if err != nil {
-			t.Fatal(err)
-		}
+		partials := steadyWireRound(t, h, &m.def, &m.def.gf, len(results), 10, 8, bw, xs, assignment)
 		if _, err := enc.DecodeMatVecInto(dst, partials, decWS); err != nil {
 			t.Fatal(err)
 		}
@@ -499,23 +394,24 @@ func TestMasterGFWireBatchRoundZeroAllocsSteadyState(t *testing.T) {
 	}
 }
 
-// TestBatchFrameRoundTrip pins the frame encodings: width > 1 emits the
-// batch frame types and survives a round trip; a width-1 message after a
-// batched one must reset the pooled slot's width back to 1 (the stale
-// batch-width regression).
+// TestBatchFrameRoundTrip pins the unified frame encodings: work and
+// result frames of both element kinds and several widths survive a round
+// trip through one reused receive slot, a width-1 result after a batched
+// one comes back at width 1 (the stale batch-width regression), and the
+// job tag travels at every width.
 func TestBatchFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	c := &wireConn{w: wire.NewWriter(&buf)}
-	work := &Work{Iter: 2, Phase: 1, W: 3, X: []float64{1, 2, 3, 4, 5, 6}, Ranges: []coding.Range{{Lo: 0, Hi: 2}}}
-	res := &Result{Iter: 2, Phase: 1, Worker: 4, RowWidth: 3, ComputeNanos: 9,
+	work := &Work[float64]{Iter: 2, Phase: 1, W: 3, X: []float64{1, 2, 3, 4, 5, 6}, Ranges: []coding.Range{{Lo: 0, Hi: 2}}}
+	res := &Result[float64]{Iter: 2, Phase: 1, Worker: 4, RowWidth: 3, ComputeNanos: 9,
 		Ranges: []coding.Range{{Lo: 0, Hi: 2}}, Values: []float64{1, 2, 3, 4, 5, 6}}
-	gfw := &GFWork{Iter: 2, Phase: 1, W: 2, X: []gf.Elem{7, 8, 9, 10}, Ranges: []coding.Range{{Lo: 1, Hi: 3}}}
-	gfr := &GFResult{Iter: 2, Phase: 1, Worker: 5, RowWidth: 2, ComputeNanos: 11,
+	gfw := &Work[gf.Elem]{Job: 7, Iter: 2, Phase: 1, W: 2, X: []gf.Elem{7, 8, 9, 10}, Ranges: []coding.Range{{Lo: 1, Hi: 3}}}
+	gfr := &Result[gf.Elem]{Job: 7, Iter: 2, Phase: 1, Worker: 5, RowWidth: 2, ComputeNanos: 11,
 		Ranges: []coding.Range{{Lo: 1, Hi: 3}}, Values: []gf.Elem{4, 5, 6, 7}}
-	singleRes := &Result{Iter: 3, Phase: 0, Worker: 1,
+	singleRes := &Result[float64]{Iter: 3, Phase: 0, Worker: 1, RowWidth: 1,
 		Ranges: []coding.Range{{Lo: 0, Hi: 1}}, Values: []float64{42}}
 	for _, err := range []error{
-		c.sendWork(work), c.sendResult(res), c.sendGFWork(gfw), c.sendGFResult(gfr), c.sendResult(singleRes),
+		sendWork(c, work), sendResult(c, res), sendWork(c, gfw), sendResult(c, gfr), sendResult(c, singleRes),
 	} {
 		if err != nil {
 			t.Fatal(err)
@@ -523,69 +419,44 @@ func TestBatchFrameRoundTrip(t *testing.T) {
 	}
 	tc := &wireConn{w: wire.NewWriter(io.Discard), r: wire.NewReader(bytes.NewReader(buf.Bytes()))}
 	msg := &Msg{}
-	if err := tc.recv(msg); err != nil || msg.Kind != KindWork {
-		t.Fatalf("work: kind %d err %v", msg.Kind, err)
+	next := func(typ wire.Type, elem wire.Elem) {
+		t.Helper()
+		if err := tc.recv(msg); err != nil || msg.Type != typ || msg.Elem != elem {
+			t.Fatalf("frame %d elem %d err %v, want frame %d elem %d", msg.Type, msg.Elem, err, typ, elem)
+		}
 	}
+	next(wire.TypeWork, wire.ElemFloat64)
 	if msg.Work.W != 3 || len(msg.Work.X) != 6 {
 		t.Fatalf("work round trip: W=%d len(X)=%d", msg.Work.W, len(msg.Work.X))
 	}
-	if err := tc.recv(msg); err != nil || msg.Kind != KindResult {
-		t.Fatalf("result: kind %d err %v", msg.Kind, err)
-	}
+	next(wire.TypeResult, wire.ElemFloat64)
 	if msg.Result.RowWidth != 3 || len(msg.Result.Values) != 6 || msg.Result.ComputeNanos != 9 {
 		t.Fatalf("result round trip: %+v", msg.Result)
 	}
-	if err := tc.recv(msg); err != nil || msg.Kind != KindGFWork {
-		t.Fatalf("gfwork: kind %d err %v", msg.Kind, err)
+	next(wire.TypeWork, wire.ElemGF)
+	if msg.GFWork.Job != 7 || msg.GFWork.W != 2 || len(msg.GFWork.X) != 4 {
+		t.Fatalf("gf work round trip: %+v", msg.GFWork)
 	}
-	if msg.GFWork.W != 2 || len(msg.GFWork.X) != 4 {
-		t.Fatalf("gfwork round trip: W=%d len(X)=%d", msg.GFWork.W, len(msg.GFWork.X))
+	next(wire.TypeResult, wire.ElemGF)
+	if msg.GFResult.Job != 7 || msg.GFResult.RowWidth != 2 || len(msg.GFResult.Values) != 4 {
+		t.Fatalf("gf result round trip: %+v", msg.GFResult)
 	}
-	if err := tc.recv(msg); err != nil || msg.Kind != KindGFResult {
-		t.Fatalf("gfresult: kind %d err %v", msg.Kind, err)
-	}
-	if msg.GFResult.RowWidth != 2 || len(msg.GFResult.Values) != 4 {
-		t.Fatalf("gfresult round trip: %+v", msg.GFResult)
-	}
-	// The width-1 frame arrives into the same pooled Msg whose Result slot
-	// still says RowWidth=3; recv must reset it.
-	if err := tc.recv(msg); err != nil || msg.Kind != KindResult {
-		t.Fatalf("single result: kind %d err %v", msg.Kind, err)
-	}
+	// The width-1 frame arrives into the same Msg whose Result slot still
+	// says RowWidth=3.
+	next(wire.TypeResult, wire.ElemFloat64)
 	if msg.Result.RowWidth != 1 || len(msg.Result.Values) != 1 || msg.Result.Values[0] != 42 {
 		t.Fatalf("stale batch width leaked into single-x frame: %+v", msg.Result)
 	}
 }
 
-// hostileBatchFrame encodes a GF result batch frame with an arbitrary
-// declared width and value count.
-func hostileBatchFrame(tb testing.TB, width, count int) []byte {
-	var buf bytes.Buffer
-	w := wire.NewWriter(&buf)
-	w.Begin(wire.TypeGFResultBatch)
-	w.Int(0)     // iter
-	w.Int(0)     // phase
-	w.Int(0)     // worker
-	w.Uvarint(0) // partial
-	w.Uvarint(0) // nanos
-	w.Int(width)
-	w.Int(0) // no ranges
-	w.Uvarint(uint64(count))
-	if err := w.End(); err != nil {
-		tb.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestBatchFrameHostileWidths pins readBatchWidth: a batch frame claiming
-// width < 2 (the single-x types own that) or width beyond the bound is a
-// protocol error, decoded into nothing.
+// TestBatchFrameHostileWidths pins the width bound: a frame claiming
+// width < 1 or beyond maxBatchWidth is a protocol error, decoded into
+// nothing.
 func TestBatchFrameHostileWidths(t *testing.T) {
-	for _, width := range []int{-1, 0, 1, maxBatchWidth + 1, 1 << 30} {
-		data := hostileBatchFrame(t, width, 0)
+	for _, width := range []int{-1, 0, maxBatchWidth + 1, 1 << 30} {
+		data := hostileResultFrame(t, wire.ElemGF, width, 0)
 		tc := &wireConn{w: wire.NewWriter(io.Discard), r: wire.NewReader(bytes.NewReader(data))}
-		msg := &Msg{}
-		if err := tc.recv(msg); err == nil {
+		if err := tc.recv(&Msg{}); err == nil {
 			t.Fatalf("width %d decoded without error", width)
 		}
 	}
@@ -594,10 +465,9 @@ func TestBatchFrameHostileWidths(t *testing.T) {
 // TestBatchFrameHostileElementCount declares a value count the frame
 // cannot hold: the division-based guard rejects it before sizing.
 func TestBatchFrameHostileElementCount(t *testing.T) {
-	data := hostileBatchFrame(t, 4, 1<<40)
+	data := hostileResultFrame(t, wire.ElemFloat64, 4, 1<<40)
 	tc := &wireConn{w: wire.NewWriter(io.Discard), r: wire.NewReader(bytes.NewReader(data))}
-	msg := &Msg{}
-	if err := tc.recv(msg); err == nil {
+	if err := tc.recv(&Msg{}); err == nil {
 		t.Fatal("hostile batched element count decoded without error")
 	}
 }
@@ -608,11 +478,11 @@ func TestBatchFrameHostileElementCount(t *testing.T) {
 // disagrees with the round is rejected wholesale, and a correct frame
 // then advances coverage normally.
 func TestBatchGatherAllLanesOrNothing(t *testing.T) {
-	m := &Master{cfg: MasterConfig{ReuseRound: true}}
-	ws := &m.def.round
+	m := newTestMaster(MasterConfig{ReuseRound: true})
+	ws := &m.def.f64.round
 	ws.begin(3, 4, 2, 2)
 	// 4 rows at width 2 need 8 values; 7 is a missing lane.
-	bad := &Result{Worker: 0, RowWidth: 2, Ranges: []coding.Range{{Lo: 0, Hi: 4}}, Values: make([]float64, 7)}
+	bad := &Result[float64]{Worker: 0, RowWidth: 2, Ranges: []coding.Range{{Lo: 0, Hi: 4}}, Values: make([]float64, 7)}
 	if err := ws.addResult(bad, time.Millisecond); err == nil {
 		t.Fatal("short batched result accepted")
 	}
@@ -625,7 +495,7 @@ func TestBatchGatherAllLanesOrNothing(t *testing.T) {
 		}
 	}
 	// A width-1 result in a width-2 round is rejected outright.
-	wrong := &Result{Worker: 1, RowWidth: 1, Ranges: []coding.Range{{Lo: 0, Hi: 4}}, Values: make([]float64, 4)}
+	wrong := &Result[float64]{Worker: 1, RowWidth: 1, Ranges: []coding.Range{{Lo: 0, Hi: 4}}, Values: make([]float64, 4)}
 	if err := ws.addResult(wrong, time.Millisecond); err == nil {
 		t.Fatal("width-mismatched result accepted")
 	}
@@ -636,7 +506,7 @@ func TestBatchGatherAllLanesOrNothing(t *testing.T) {
 	}
 	// Correct frames from two workers complete coverage at k=2.
 	for _, wk := range []int{0, 2} {
-		good := &Result{Worker: wk, RowWidth: 2, Ranges: []coding.Range{{Lo: 0, Hi: 4}}, Values: make([]float64, 8)}
+		good := &Result[float64]{Worker: wk, RowWidth: 2, Ranges: []coding.Range{{Lo: 0, Hi: 4}}, Values: make([]float64, 8)}
 		if err := ws.addResult(good, time.Millisecond); err != nil {
 			t.Fatal(err)
 		}
@@ -650,7 +520,7 @@ func TestBatchGatherAllLanesOrNothing(t *testing.T) {
 // outside [1, maxBatchWidth] and xs lengths that do not divide by the
 // width are errors before any network traffic.
 func TestRunRoundBatchValidatesArgs(t *testing.T) {
-	m := &Master{}
+	m := newTestMaster(MasterConfig{})
 	plan := &sched.Plan{BlockRows: 1, Assignments: [][]coding.Range{{{Lo: 0, Hi: 1}}}}
 	if _, _, err := m.RunRoundBatch(0, 0, make([]float64, 3), 2, plan, 1, 1.0); err == nil {
 		t.Fatal("xs length not divisible by width accepted")
@@ -658,65 +528,7 @@ func TestRunRoundBatchValidatesArgs(t *testing.T) {
 	if _, _, err := m.RunRoundBatch(0, 0, nil, 0, plan, 1, 1.0); err == nil {
 		t.Fatal("width 0 accepted")
 	}
-	if _, _, err := m.RunGFRoundBatch(0, 0, make([]gf.Elem, 4), maxBatchWidth+1, plan, 1, 1.0); err == nil {
+	if _, _, err := m.def.RunGFRoundBatch(0, 0, make([]gf.Elem, 4), maxBatchWidth+1, plan, 1, 1.0); err == nil {
 		t.Fatal("oversized width accepted")
 	}
-}
-
-// buildBatchResultStream encodes one valid batched GF result frame.
-func buildBatchResultStream(tb testing.TB) []byte {
-	var buf bytes.Buffer
-	c := &wireConn{w: wire.NewWriter(&buf)}
-	res := &GFResult{
-		Iter: 1, Phase: 0, Worker: 2, RowWidth: 2, ComputeNanos: 77,
-		Ranges: []coding.Range{{Lo: 0, Hi: 3}},
-		Values: []gf.Elem{1, 2, 3, 4, 5, gf.Elem(gf.P - 1)},
-	}
-	if err := c.sendGFResult(res); err != nil {
-		tb.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// FuzzBatchResultFrame feeds arbitrary byte streams to the master-side
-// decoder seeded with batched frames: recv must terminate without
-// panicking, and whatever decodes must carry a sane width.
-func FuzzBatchResultFrame(f *testing.F) {
-	valid := buildBatchResultStream(f)
-	f.Add(valid)
-	for _, cut := range []int{1, len(valid) / 2, len(valid) - 1} {
-		f.Add(append([]byte(nil), valid[:cut]...))
-	}
-	f.Add(hostileBatchFrame(f, 1, 4))
-	f.Add(hostileBatchFrame(f, maxBatchWidth+1, 0))
-	f.Add(hostileBatchFrame(f, 4, 1<<40))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		tc := &wireConn{w: wire.NewWriter(io.Discard), r: wire.NewReader(bytes.NewReader(data))}
-		msg := &Msg{}
-		for {
-			if err := tc.recv(msg); err != nil {
-				return
-			}
-			switch msg.Kind {
-			case KindResult:
-				if msg.Result.RowWidth < 1 || msg.Result.RowWidth > maxBatchWidth {
-					t.Fatalf("decoded result width %d", msg.Result.RowWidth)
-				}
-			case KindGFResult:
-				if msg.GFResult.RowWidth < 1 || msg.GFResult.RowWidth > maxBatchWidth {
-					t.Fatalf("decoded GF result width %d", msg.GFResult.RowWidth)
-				}
-			case KindWork:
-				if msg.Work.W < 1 || msg.Work.W > maxBatchWidth {
-					t.Fatalf("decoded work width %d", msg.Work.W)
-				}
-			case KindGFWork:
-				if msg.GFWork.W < 1 || msg.GFWork.W > maxBatchWidth {
-					t.Fatalf("decoded GF work width %d", msg.GFWork.W)
-				}
-			case 0:
-				t.Fatal("recv succeeded with zero kind")
-			}
-		}
-	})
 }

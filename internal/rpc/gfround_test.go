@@ -1,13 +1,11 @@
 package rpc
 
 // gfround_test.go covers the exact GF(2³¹−1) distributed round path: the
-// acceptance property (distributed == local, bit-exact, on both
-// transports, under randomized shapes and straggler patterns) and the
+// acceptance property (distributed == local, bit-exact, under randomized
+// shapes and straggler patterns) and the
 // master-side zero-allocation bar mirroring the float64 wire round.
 
 import (
-	"bytes"
-	"io"
 	"math/rand"
 	"testing"
 	"time"
@@ -15,7 +13,6 @@ import (
 	"github.com/coded-computing/s2c2/internal/coding"
 	"github.com/coded-computing/s2c2/internal/gf"
 	"github.com/coded-computing/s2c2/internal/sched"
-	"github.com/coded-computing/s2c2/internal/wire"
 )
 
 // randElems fills a fresh slice with canonical field elements.
@@ -34,11 +31,11 @@ func gfGroundTruth(rows, cols int, data, x []gf.Elem) []gf.Elem {
 }
 
 // runGFTrial runs one randomized cluster trial: random (n,k), partition
-// shape, chunking, transport, result splitting, and optionally a
+// shape, chunking, result splitting, and optionally a
 // mis-predicted straggler that forces the §4.3 timeout + reassignment —
 // then requires every round to decode bit-exactly against the local
 // ground truth.
-func runGFTrial(t *testing.T, rng *rand.Rand, useGob bool) {
+func runGFTrial(t *testing.T, rng *rand.Rand) {
 	t.Helper()
 	n := 2 + rng.Intn(4) // 2..5 workers
 	k := 1 + rng.Intn(n) // 1..n threshold
@@ -51,7 +48,7 @@ func runGFTrial(t *testing.T, rng *rand.Rand, useGob bool) {
 		frac = 0.15
 	}
 	mcfg := MasterConfig{StallTimeout: 20 * time.Second}
-	if !useGob && rng.Intn(2) == 0 {
+	if rng.Intn(2) == 0 {
 		mcfg.ChunkRows = 1 + rng.Intn(3)
 		mcfg.ChunkWindow = 1 + rng.Intn(4)
 	}
@@ -61,7 +58,7 @@ func runGFTrial(t *testing.T, rng *rand.Rand, useGob bool) {
 	m := startTestCluster(t, n, clusterConfig{
 		master: mcfg,
 		worker: func(i int) WorkerConfig {
-			cfg := WorkerConfig{UseGob: useGob, Slowdown: 1, PerRowDelay: 200 * time.Microsecond}
+			cfg := WorkerConfig{Slowdown: 1, PerRowDelay: 200 * time.Microsecond}
 			if i == straggler {
 				cfg.Slowdown = 100
 			}
@@ -104,8 +101,8 @@ func runGFTrial(t *testing.T, rng *rand.Rand, useGob bool) {
 		}
 		partials, stats, err := m.RunGFRound(iter, 0, x, plan, k, frac)
 		if err != nil {
-			t.Fatalf("n=%d k=%d rows=%d cols=%d straggler=%d gob=%v: %v",
-				n, k, rows, cols, straggler, useGob, err)
+			t.Fatalf("n=%d k=%d rows=%d cols=%d straggler=%d: %v",
+				n, k, rows, cols, straggler, err)
 		}
 		got, err := enc.DecodeMatVecInto(dst, partials, decWS)
 		if err != nil {
@@ -113,8 +110,8 @@ func runGFTrial(t *testing.T, rng *rand.Rand, useGob bool) {
 		}
 		for r := range want {
 			if got[r] != want[r] {
-				t.Fatalf("n=%d k=%d rows=%d cols=%d straggler=%d gob=%v reuse=%v split=%v iter=%d: row %d decodes to %d, local compute says %d (reassigned %d)",
-					n, k, rows, cols, straggler, useGob, reuse, splitResults, iter, r, got[r], want[r], stats.Reassigned)
+				t.Fatalf("n=%d k=%d rows=%d cols=%d straggler=%d reuse=%v split=%v iter=%d: row %d decodes to %d, local compute says %d (reassigned %d)",
+					n, k, rows, cols, straggler, reuse, splitResults, iter, r, got[r], want[r], stats.Reassigned)
 			}
 		}
 	}
@@ -122,27 +119,19 @@ func runGFTrial(t *testing.T, rng *rand.Rand, useGob bool) {
 
 // TestGFRoundExactness is the acceptance property: a distributed GF round
 // decodes bit-exactly to the local GFMDSCode compute across randomized
-// (n,k), partition shapes, straggler/timeout patterns, and both
-// transports.
+// (n,k), partition shapes, and straggler/timeout patterns.
 func TestGFRoundExactness(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		useGob bool
-	}{
-		{"wire", false},
-		{"gob", true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(200))
-			trials := 4
-			if testing.Short() {
-				trials = 2
-			}
-			for trial := 0; trial < trials; trial++ {
-				runGFTrial(t, rng, tc.useGob)
-			}
-		})
-	}
+	// The rounds run over the wire transport.
+	t.Run("wire", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(200))
+		trials := 4
+		if testing.Short() {
+			trials = 2
+		}
+		for trial := 0; trial < trials; trial++ {
+			runGFTrial(t, rng)
+		}
+	})
 }
 
 // TestGFRoundTimeoutReassignmentExact deterministically forces the §4.3
@@ -289,7 +278,7 @@ func TestGFRoundLagrangeExactness(t *testing.T) {
 
 // gfGatherFixture builds a synthetic full GF round of worker results
 // against a real exact encoding, bypassing the network.
-func gfGatherFixture(tb testing.TB) (*coding.GFEncodedMatrix, []*GFResult, []gf.Elem, []gf.Elem) {
+func gfGatherFixture(tb testing.TB) (*coding.GFEncodedMatrix, []*Result[gf.Elem], []gf.Elem, []gf.Elem) {
 	rng := rand.New(rand.NewSource(203))
 	rows, cols := 240, 16
 	data := randElems(rng, rows*cols)
@@ -302,14 +291,14 @@ func gfGatherFixture(tb testing.TB) (*coding.GFEncodedMatrix, []*GFResult, []gf.
 		tb.Fatal(err)
 	}
 	x := randElems(rng, cols)
-	var results []*GFResult
+	var results []*Result[gf.Elem]
 	for _, w := range []int{0, 1, 2, 3, 4, 5, 8, 9} {
 		p, err := enc.WorkerMatVec(w, x, []coding.Range{{Lo: 0, Hi: enc.BlockRows}})
 		if err != nil {
 			tb.Fatal(err)
 		}
-		results = append(results, &GFResult{
-			Iter: 0, Phase: 0, Worker: w, Ranges: p.Ranges, Values: p.Values,
+		results = append(results, &Result[gf.Elem]{
+			Iter: 0, Phase: 0, Worker: w, RowWidth: 1, Ranges: p.Ranges, Values: p.Values,
 		})
 	}
 	return enc, results, x, gfGroundTruth(rows, cols, data, x)
@@ -326,64 +315,13 @@ func TestMasterGFWireRoundZeroAllocsSteadyState(t *testing.T) {
 		t.Skip("race detector drops sync.Pool items, forcing reallocation")
 	}
 	enc, results, x, want := gfGatherFixture(t)
-	n, k := 10, 8
-
-	// Pre-encode the round's result frames once, as the workers would.
-	var stream bytes.Buffer
-	sender := &wireConn{w: wire.NewWriter(&stream)}
-	for _, r := range results {
-		if err := sender.sendGFResult(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	src := bytes.NewReader(stream.Bytes())
-	tc := &wireConn{w: wire.NewWriter(io.Discard), r: wire.NewReader(src)}
-
-	m := &Master{cfg: MasterConfig{ReuseRound: true}}
+	h := newWireHarness(encodeResults(t, results))
+	m := newTestMaster(MasterConfig{ReuseRound: true})
 	decWS := enc.NewDecodeWorkspace()
 	dst := make([]gf.Elem, enc.OrigRows)
 	assignment := []coding.Range{{Lo: 0, Hi: enc.BlockRows}}
-	msg := &Msg{}
-
 	runRound := func() {
-		ws := &m.def.gfRound
-		m.recycleGFRound(ws)
-		ws.begin(n, enc.BlockRows, k, 1)
-		// Send tasks: one GF work frame per active worker.
-		for w := 0; w < n; w++ {
-			ws.workMsg = GFWork{Iter: 0, Phase: 0, X: x, Ranges: assignment}
-			if err := tc.sendGFWork(&ws.workMsg); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// Receive results: decode each frame into a pooled slot (the
-		// readLoop's swap idiom) and gather.
-		src.Reset(stream.Bytes())
-		tc.r.Reset(src)
-		for range results {
-			if err := tc.recv(msg); err != nil {
-				t.Fatal(err)
-			}
-			if msg.Kind != KindGFResult {
-				t.Fatalf("kind %d", msg.Kind)
-			}
-			r := m.getGFResult()
-			*r, msg.GFResult = msg.GFResult, *r
-			if err := ws.addResult(r, time.Millisecond); err != nil {
-				t.Fatal(err)
-			}
-			ws.retained = append(ws.retained, r)
-		}
-		if ws.needed != 0 {
-			t.Fatal("fixture round did not reach coverage")
-		}
-		partials, stats, err := m.finishGFRound(ws)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.AssignedRows == nil {
-			t.Fatal("missing stats")
-		}
+		partials := steadyWireRound(t, h, &m.def, &m.def.gf, len(results), 10, 8, 1, x, assignment)
 		if _, err := enc.DecodeMatVecInto(dst, partials, decWS); err != nil {
 			t.Fatal(err)
 		}
@@ -397,56 +335,5 @@ func TestMasterGFWireRoundZeroAllocsSteadyState(t *testing.T) {
 	allocs := testing.AllocsPerRun(50, runRound)
 	if allocs != 0 {
 		t.Fatalf("steady-state GF wire round allocates %v/op on the master, want 0", allocs)
-	}
-}
-
-// TestGFGobWireDecodeBitIdentical runs the same deterministic full-
-// coverage GF round over both transports; being field arithmetic, the
-// decoded outputs must be identical element for element.
-func TestGFGobWireDecodeBitIdentical(t *testing.T) {
-	run := func(useGob bool) []gf.Elem {
-		const n = 3
-		m := startTestCluster(t, n, clusterConfig{
-			worker: func(i int) WorkerConfig { return WorkerConfig{UseGob: useGob} },
-		})
-		rng := rand.New(rand.NewSource(204))
-		rows, cols := 31, 6
-		data := randElems(rng, rows*cols)
-		code, err := coding.NewGFMDSCode(n, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		enc, err := code.Encode(rows, cols, data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.DistributeGFPartitions(0, enc.Parts); err != nil {
-			t.Fatal(err)
-		}
-		strat := &sched.GeneralS2C2{N: n, K: n, BlockRows: enc.BlockRows, Granularity: enc.BlockRows}
-		plan, err := strat.Plan([]float64{1, 1, 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		x := randElems(rng, cols)
-		partials, _, err := m.RunGFRound(0, 0, x, plan, n, 10.0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := enc.DecodeMatVec(partials)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return got
-	}
-	gob := run(true)
-	wireOut := run(false)
-	if len(gob) != len(wireOut) {
-		t.Fatalf("length mismatch: gob %d, wire %d", len(gob), len(wireOut))
-	}
-	for i := range gob {
-		if gob[i] != wireOut[i] {
-			t.Fatalf("row %d: gob %d != wire %d", i, gob[i], wireOut[i])
-		}
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"github.com/coded-computing/s2c2/internal/coding"
 	"github.com/coded-computing/s2c2/internal/gf"
 	"github.com/coded-computing/s2c2/internal/kernel"
-	"github.com/coded-computing/s2c2/internal/mat"
 	"github.com/coded-computing/s2c2/internal/sched"
 	"github.com/coded-computing/s2c2/internal/wire"
 )
@@ -133,7 +132,7 @@ func (m *Master) chunkWindow() int {
 // plus the channels its readLoop uses to route flow-control credits and
 // signal connection loss.
 type workerConn struct {
-	t transport
+	t *wireConn
 	// acks receives one (phase, seq) credit per stored partition chunk;
 	// the streaming sender blocks on it when its window is exhausted.
 	acks chan PartitionAck
@@ -183,12 +182,9 @@ type Master struct {
 	// failStreak[w] counts worker w's consecutive failed rounds (timed out
 	// or dead, never responding in between); EvictAfter reads it.
 	failStreak []int
-	// parts/gfParts retain the distributed partitions per wire phase —
-	// across every job — so a replacement worker promoted into a slot can
-	// be brought up to the incumbent's state by re-streaming
-	// (retryPartitions, RepairWorkers).
-	parts   map[int][]*mat.Dense
-	gfParts map[int][]*gf.Matrix
+	// f64/gf hold the per-element retained partitions and result pools.
+	f64 masterSide[float64]
+	gf  masterSide[gf.Elem]
 	// totals accumulates lifetime recovery counters (RecoveryTotals).
 	totals RecoveryStats
 
@@ -198,8 +194,7 @@ type Master struct {
 	pendingReady chan struct{}
 
 	// def is the built-in default job (id 0): the one every promoted
-	// Master round/distribute method acts on, whose traffic stays on the
-	// untagged legacy frames.
+	// Master round/distribute method acts on.
 	def Job
 	// jobsMu guards the job registry; the readLoops take it per result to
 	// route by job id, so it is an RWMutex written only on OpenJob/Close.
@@ -215,10 +210,20 @@ type Master struct {
 	ticketSeq    int
 	ticketView   []JobTicket // reused policy snapshot
 
-	wg        sync.WaitGroup // readLoops
-	resPool   sync.Pool      // *Result receive slots recycled across rounds
-	gfResPool sync.Pool      // *GFResult receive slots
-	xferSeq   atomic.Int64   // partition-transfer sequence (stale-ack fencing)
+	wg      sync.WaitGroup // readLoops
+	xferSeq atomic.Int64   // partition-transfer sequence (stale-ack fencing)
+}
+
+// masterSide is the master's state for one element type.
+type masterSide[E elem] struct {
+	// parts retains the distributed partitions per wire phase — across
+	// every job — so a replacement worker promoted into a slot can be
+	// brought up to the incumbent's state by re-streaming
+	// (retryPartitions, RepairWorkers). Guarded by Master.mu.
+	parts map[int][]block[E]
+	// pool recycles *Result receive slots across rounds: readLoops decode
+	// into them, rounds return them once their partials are released.
+	pool sync.Pool
 }
 
 // NewMaster listens on addr (e.g. "127.0.0.1:0") with a default config.
@@ -236,8 +241,8 @@ func NewMasterWithConfig(cfg MasterConfig) (*Master, error) {
 		cfg:          cfg,
 		ln:           ln,
 		quit:         make(chan struct{}),
-		parts:        map[int][]*mat.Dense{},
-		gfParts:      map[int][]*gf.Matrix{},
+		f64:          masterSide[float64]{parts: map[int][]block[float64]{}},
+		gf:           masterSide[gf.Elem]{parts: map[int][]block[gf.Elem]{}},
 		pendingReady: make(chan struct{}, 1),
 	}
 	initJob(&m.def, m, 0, JobConfig{})
@@ -258,37 +263,6 @@ func (m *Master) Addr() string { return m.ln.Addr().String() }
 // one process can host several masters without pool contention.
 func (m *Master) Exec() kernel.Exec { return m.cfg.Exec }
 
-// getResult returns a pooled receive slot (readLoops decode results into
-// these; RunRound recycles them once the round's partials are released).
-//
-//s2c2:noalloc
-func (m *Master) getResult() *Result {
-	if v := m.resPool.Get(); v != nil {
-		return v.(*Result)
-	}
-	// Pool miss: mints the slot the pool will recycle from then on.
-	//s2c2:waive noalloc
-	return &Result{}
-}
-
-//s2c2:recycler
-func (m *Master) putResult(r *Result) { m.resPool.Put(r) }
-
-// getGFResult / putGFResult are the GF mirror of the pooled receive slots.
-//
-//s2c2:noalloc
-func (m *Master) getGFResult() *GFResult {
-	if v := m.gfResPool.Get(); v != nil {
-		return v.(*GFResult)
-	}
-	// Pool miss: mints the slot the pool will recycle from then on.
-	//s2c2:waive noalloc
-	return &GFResult{}
-}
-
-//s2c2:recycler
-func (m *Master) putGFResult(r *GFResult) { m.gfResPool.Put(r) }
-
 // handshakeTimeout bounds how long one accepted connection may take to
 // complete its handshake and hello before WaitForWorkers moves on.
 const handshakeTimeout = 5 * time.Second
@@ -299,11 +273,10 @@ const maxConcurrentAdmits = 32
 
 // WaitForWorkers accepts worker connections (assigning worker IDs in
 // admission-completion order) until n are connected or the deadline
-// expires. Each connection performs the wire handshake; its version byte
-// selects the binary frame transport or the gob fallback, so one cluster
-// may mix both. Connections that fail the handshake or hello — wrong
-// magic, an unsupported version, a stalled client — are rejected and
-// accepting continues; they cannot wedge the master.
+// expires. Each connection performs the wire handshake. Connections that
+// fail the handshake or hello — wrong magic, an unsupported version, a
+// stalled client — are rejected and accepting continues; they cannot
+// wedge the master.
 //
 // Handshakes are admitted concurrently: accepting never waits on an
 // in-flight handshake, so one slow or stalled dialer delays later workers
@@ -570,19 +543,19 @@ func (m *Master) admit(c net.Conn) (*workerConn, error) {
 		c.Close()
 		return nil, err
 	}
-	t, err := newTransport(c, version, m.stallTimeout())
-	if err != nil {
+	if version != wire.VersionWire {
 		c.Close()
-		return nil, err // version mismatch: reject this conn, keep serving
+		return nil, fmt.Errorf("rpc: unsupported protocol version %d", version) // reject this conn, keep serving
 	}
+	t := newWireConn(c, m.stallTimeout())
 	var msg Msg
 	if err := t.recv(&msg); err != nil {
 		t.close()
 		return nil, fmt.Errorf("rpc: hello: %w", err)
 	}
-	if msg.Kind != KindHello {
+	if msg.Type != wire.TypeHello {
 		t.close()
-		return nil, fmt.Errorf("rpc: first message kind %d, want hello", msg.Kind)
+		return nil, fmt.Errorf("rpc: first frame type %d, want hello", msg.Type)
 	}
 	c.SetDeadline(time.Time{}) //nolint:errcheck
 	wc := &workerConn{t: t, acks: make(chan PartitionAck, ackBuffer), dead: make(chan struct{})}
@@ -631,45 +604,22 @@ func (m *Master) readLoop(wc *workerConn) {
 			return
 		}
 		id := int(wc.id.Load())
-		switch msg.Kind {
-		case KindResult:
+		switch msg.Type {
+		case wire.TypeResult:
 			if id < 0 {
 				continue // a parked spare has no slot to attribute results to
 			}
-			j := m.jobFor(msg.Result.Job)
-			if j == nil {
-				continue // closed or unknown job: drop the frame
-			}
-			r := m.getResult()
-			// Swap structs: the pooled slot takes the decoded message
-			// (slices included), the message slot inherits the pooled
-			// capacity for the next decode. No copying, no allocation.
-			*r, msg.Result = msg.Result, *r
-			r.Worker = id
-			select {
-			case j.results <- r:
-			case <-m.quit:
+			// A closed or unknown job's frames are dropped.
+			if msg.Elem == wire.ElemGF {
+				if j := m.jobFor(msg.GFResult.Job); j != nil && !forwardResult(m, &j.gf, &msg.GFResult, id) {
+					return
+				}
+			} else if j := m.jobFor(msg.Result.Job); j != nil && !forwardResult(m, &j.f64, &msg.Result, id) {
 				return
 			}
-		case KindGFResult:
-			if id < 0 {
-				continue
-			}
-			j := m.jobFor(msg.GFResult.Job)
-			if j == nil {
-				continue // closed or unknown job: drop the frame
-			}
-			r := m.getGFResult()
-			*r, msg.GFResult = msg.GFResult, *r
-			r.Worker = id
-			select {
-			case j.gfResults <- r:
-			case <-m.quit:
-				return
-			}
-		case KindPong:
+		case wire.TypePong:
 			wc.lastPong.Store(time.Now().UnixNano())
-		case KindPartitionAck:
+		case wire.TypePartitionAck:
 			// Never block the readLoop on the credit channel: a full
 			// buffer means stale acks from aborted transfers accumulated
 			// with nothing draining them, and parking here would stop
@@ -681,6 +631,25 @@ func (m *Master) readLoop(wc *workerConn) {
 			default:
 			}
 		}
+	}
+}
+
+// forwardResult moves a decoded result into a pooled slot and queues it
+// for the owning job's round. Swapping structs hands the slot the decoded
+// message (slices included) and leaves the message slot the pooled
+// capacity for the next decode: no copying, no allocation. It reports
+// false when the master shut down instead.
+//
+//s2c2:noalloc
+func forwardResult[E elem](m *Master, js *jobSide[E], msg *Result[E], worker int) bool {
+	r := getSlot[Result[E]](&js.ms.pool)
+	*r, *msg = *msg, *r
+	r.Worker = worker
+	select {
+	case js.results <- r:
+		return true
+	case <-m.quit:
+		return false
 	}
 }
 
@@ -766,12 +735,11 @@ func distributeAll(workers []*workerConn, ship func(w int, wc *workerConn) error
 }
 
 // DistributePartitions ships phase p's coded partitions (partition w to
-// worker w), all workers in parallel. On the wire transport each partition
-// is streamed in ChunkRows-row chunks under a ChunkWindow credit window —
-// the worker acknowledges every chunk it has stored, so peak transport
-// memory is O(chunk), not O(partition), on both ends. Gob-fallback workers
-// receive their partition as one monolithic message. Failures name the
-// broken workers (*PartitionError, aggregated across workers); with
+// worker w), all workers in parallel. Each partition is streamed in
+// ChunkRows-row chunks under a ChunkWindow credit window — the worker
+// acknowledges every chunk it has stored, so peak transport memory is
+// O(chunk), not O(partition), on both ends. Failures name the broken
+// workers (*PartitionError, aggregated across workers); with
 // MasterConfig.Retry enabled, only the failed workers' partitions are
 // re-streamed — to a warm spare promoted into the slot when one is parked
 // — under bounded exponential backoff before any error is returned.
@@ -785,14 +753,15 @@ func (m *Master) DistributePartitions(phase int, enc *coding.EncodedMatrix) erro
 	return m.def.DistributePartitions(phase, enc)
 }
 
-// DistributePartitionsContext is DistributePartitions with a caller
-// context: cancellation aborts promptly between transfer attempts —
-// including mid-backoff inside the retry engine — returning whatever
-// per-worker attribution the attempts so far produced.
+// DistributeGFPartitions is DistributePartitions for the exact path: it
+// ships phase p's GF(2³¹−1) coded partitions (partition w to worker w) as
+// uint32 field-element streams. The partitions may come from
+// GFMDSCode.Encode (GFEncodedMatrix.Parts) or be Lagrange shares wrapped
+// as matrices — any per-worker field matrices of one shared shape.
 //
 //s2c2:partition-attrib
-func (m *Master) DistributePartitionsContext(ctx context.Context, phase int, enc *coding.EncodedMatrix) error {
-	return m.def.DistributePartitionsContext(ctx, phase, enc)
+func (m *Master) DistributeGFPartitions(phase int, parts []*gf.Matrix) error {
+	return m.def.DistributeGFPartitions(phase, parts)
 }
 
 // DistributePartitions ships phase p's coded partitions for this job —
@@ -806,53 +775,13 @@ func (j *Job) DistributePartitions(phase int, enc *coding.EncodedMatrix) error {
 }
 
 // DistributePartitionsContext is DistributePartitions under a caller
-// context (see Master.DistributePartitionsContext).
+// context: cancellation aborts promptly between transfer attempts —
+// including mid-backoff inside the retry engine — returning whatever
+// per-worker attribution the attempts so far produced.
 //
 //s2c2:partition-attrib
 func (j *Job) DistributePartitionsContext(ctx context.Context, phase int, enc *coding.EncodedMatrix) error {
-	m := j.m
-	workers := m.conns()
-	if len(enc.Parts) != len(workers) {
-		return fmt.Errorf("%w: %d partitions for %d workers", ErrDistributeShape, len(enc.Parts), len(workers))
-	}
-	wp := j.wirePhase(phase)
-	err := distributeAll(workers, func(w int, wc *workerConn) error {
-		return m.shipPartition(wc, wp, enc.Parts[w], m.stallTimeout())
-	})
-	if err != nil {
-		err = m.retryPartitions(ctx, err, func(w int, wc *workerConn, stall time.Duration) error {
-			return m.shipPartition(wc, wp, enc.Parts[w], stall)
-		})
-	}
-	if err != nil {
-		return err
-	}
-	j.mu.Lock()
-	j.blockRows[phase] = enc.BlockRows
-	j.mu.Unlock()
-	m.mu.Lock()
-	m.parts[wp] = enc.Parts
-	m.mu.Unlock()
-	return nil
-}
-
-// DistributeGFPartitions is DistributePartitions for the exact path: it
-// ships phase p's GF(2³¹−1) coded partitions (partition w to worker w) as
-// uint32 field-element streams. The partitions may come from
-// GFMDSCode.Encode (GFEncodedMatrix.Parts) or be Lagrange shares wrapped
-// as matrices — any per-worker field matrices of one shared shape.
-//
-//s2c2:partition-attrib
-func (m *Master) DistributeGFPartitions(phase int, parts []*gf.Matrix) error {
-	return m.def.DistributeGFPartitions(phase, parts)
-}
-
-// DistributeGFPartitionsContext is DistributeGFPartitions with a caller
-// context (see DistributePartitionsContext for the cancellation contract).
-//
-//s2c2:partition-attrib
-func (m *Master) DistributeGFPartitionsContext(ctx context.Context, phase int, parts []*gf.Matrix) error {
-	return m.def.DistributeGFPartitionsContext(ctx, phase, parts)
+	return distribute(ctx, j, &j.f64, phase, blocksOf(enc.Parts))
 }
 
 // DistributeGFPartitions ships phase p's GF(2³¹−1) partitions for this
@@ -868,89 +797,77 @@ func (j *Job) DistributeGFPartitions(phase int, parts []*gf.Matrix) error {
 //
 //s2c2:partition-attrib
 func (j *Job) DistributeGFPartitionsContext(ctx context.Context, phase int, parts []*gf.Matrix) error {
+	return distribute(ctx, j, &j.gf, phase, blocksOf(parts))
+}
+
+// blocksOf views per-worker matrices as transport blocks (aliasing their
+// data).
+func blocksOf[E elem, M interface {
+	Dims() (int, int)
+	Data() []E
+}](parts []M) []block[E] {
+	out := make([]block[E], len(parts))
+	for w, p := range parts {
+		out[w].rows, out[w].cols = p.Dims()
+		out[w].data = p.Data()
+	}
+	return out
+}
+
+// distribute is the one distribution path of both element types.
+//
+//s2c2:partition-attrib
+func distribute[E elem](ctx context.Context, j *Job, js *jobSide[E], phase int, parts []block[E]) error {
 	m := j.m
 	workers := m.conns()
 	if len(parts) != len(workers) {
-		return fmt.Errorf("%w: %d GF partitions for %d workers", ErrDistributeShape, len(parts), len(workers))
+		return fmt.Errorf("%w: %d partitions for %d workers", ErrDistributeShape, len(parts), len(workers))
 	}
 	if len(parts) == 0 {
-		return fmt.Errorf("%w: no GF partitions to distribute", ErrDistributeShape)
+		return fmt.Errorf("%w: no partitions to distribute", ErrDistributeShape)
 	}
-	rows, cols := parts[0].Dims()
+	rows, cols := parts[0].rows, parts[0].cols
 	for w, p := range parts {
-		if r, c := p.Dims(); r != rows || c != cols {
-			return fmt.Errorf("%w: GF partition %d is %dx%d, want %dx%d", ErrDistributeShape, w, r, c, rows, cols)
+		if p.rows != rows || p.cols != cols {
+			return fmt.Errorf("%w: partition %d is %dx%d, want %dx%d", ErrDistributeShape, w, p.rows, p.cols, rows, cols)
 		}
 	}
 	wp := j.wirePhase(phase)
+	ship := func(w int, wc *workerConn, stall time.Duration) error {
+		return streamPartition(m, wc, wp, parts[w], stall)
+	}
 	err := distributeAll(workers, func(w int, wc *workerConn) error {
-		return m.shipGFPartition(wc, wp, parts[w], m.stallTimeout())
+		return ship(w, wc, m.stallTimeout())
 	})
 	if err != nil {
-		err = m.retryPartitions(ctx, err, func(w int, wc *workerConn, stall time.Duration) error {
-			return m.shipGFPartition(wc, wp, parts[w], stall)
-		})
+		err = m.retryPartitions(ctx, err, ship)
 	}
 	if err != nil {
 		return err
 	}
 	j.mu.Lock()
-	j.gfBlockRows[phase] = rows
+	js.blockRows[phase] = rows
 	j.mu.Unlock()
 	m.mu.Lock()
-	m.gfParts[wp] = parts
+	js.ms.parts[wp] = parts
 	m.mu.Unlock()
 	return nil
 }
 
-// shipPartition delivers one float64 partition over the connection's
-// transport: chunked with credit-based flow control on the wire transport,
-// monolithic on the gob fallback.
-func (m *Master) shipPartition(wc *workerConn, phase int, part *mat.Dense, stall time.Duration) error {
-	rows, cols := part.Dims()
-	if !wc.t.streamsPartitions() {
-		return wc.t.sendPartition(&Partition{Phase: phase, Rows: rows, Cols: cols, Data: part.Data()})
+// streamPartition delivers one partition under credit-based flow
+// control: it serializes the transfer on the connection, fences it with a
+// fresh sequence number, and ships rows chunk by chunk under the
+// configured credit window. stall bounds each credit wait — the
+// configured StallTimeout on the first attempt, the retry engine's
+// per-attempt deadline on re-streams.
+func streamPartition[E elem](m *Master, wc *workerConn, phase int, part block[E], stall time.Duration) error {
+	kind := wire.KindOf[E]()
+	elemBytes := 4
+	if kind == wire.ElemFloat64 {
+		elemBytes = 8
 	}
-	chunkRows := m.chunkRowsFor(cols, 8)
-	data := part.Data()
-	return m.streamPartition(wc, phase, rows, chunkRows, stall,
-		func(seq int) error {
-			return wc.t.sendPartitionStart(&PartitionStart{
-				Phase: phase, Seq: seq, Rows: rows, Cols: cols, ChunkRows: chunkRows,
-			})
-		},
-		func(seq, lo, hi int) error {
-			return wc.t.sendPartitionChunk(phase, seq, lo, hi, data[lo*cols:hi*cols])
-		})
-}
-
-// shipGFPartition is shipPartition for field-element partitions.
-func (m *Master) shipGFPartition(wc *workerConn, phase int, part *gf.Matrix, stall time.Duration) error {
-	rows, cols := part.Dims()
-	if !wc.t.streamsPartitions() {
-		return wc.t.sendGFPartition(&GFPartition{Phase: phase, Rows: rows, Cols: cols, Data: part.Data()})
-	}
-	chunkRows := m.chunkRowsFor(cols, 4)
-	data := part.Data()
-	return m.streamPartition(wc, phase, rows, chunkRows, stall,
-		func(seq int) error {
-			return wc.t.sendGFPartitionStart(&PartitionStart{
-				Phase: phase, Seq: seq, Rows: rows, Cols: cols, ChunkRows: chunkRows,
-			})
-		},
-		func(seq, lo, hi int) error {
-			return wc.t.sendGFPartitionChunk(phase, seq, lo, hi, data[lo*cols:hi*cols])
-		})
-}
-
-// streamPartition is the shared credit-controlled streaming engine of both
-// element types: it serializes the transfer on the connection, fences it
-// with a fresh sequence number, and ships rows chunk by chunk under the
-// configured credit window via the provided start/chunk senders. stall
-// bounds each credit wait — the configured StallTimeout on the first
-// attempt, the retry engine's per-attempt deadline on re-streams.
-func (m *Master) streamPartition(wc *workerConn, phase, rows, chunkRows int, stall time.Duration,
-	start func(seq int) error, chunk func(seq, lo, hi int) error) error {
+	rows, cols := part.rows, part.cols
+	chunkRows := m.chunkRowsFor(cols, elemBytes)
 	// One transfer at a time per connection: the credit channel is shared,
 	// so interleaved transfers would steal each other's acks.
 	wc.xfer.Lock()
@@ -972,7 +889,8 @@ drain:
 	// dropped below instead of inflating this transfer's window or failing
 	// it spuriously.
 	seq := int(m.xferSeq.Add(1))
-	if err := start(seq); err != nil {
+	start := PartitionStart{Phase: phase, Seq: seq, Rows: rows, Cols: cols, ChunkRows: chunkRows}
+	if err := wc.t.sendPartitionStart(kind, &start); err != nil {
 		return err
 	}
 	timer := time.NewTimer(stall)
@@ -1009,7 +927,7 @@ drain:
 			}
 			outstanding--
 		}
-		if err := chunk(seq, lo, hi); err != nil {
+		if err := sendChunk(wc.t, phase, seq, lo, hi, part.data[lo*cols:hi*cols]); err != nil {
 			return err
 		}
 		outstanding++
@@ -1096,6 +1014,17 @@ func armTimer(t **time.Timer, d time.Duration) *time.Timer {
 	return *t
 }
 
+// stopTimers stops the round's timers when it returns.
+//
+//s2c2:noalloc
+func (c *roundCore) stopTimers() {
+	for _, t := range [...]*time.Timer{c.hardTimer, c.graceTimer} {
+		if t != nil {
+			t.Stop()
+		}
+	}
+}
+
 // begin resets the core for a round of n workers over blockRows-row
 // partitions with decode threshold k and batch width w.
 //
@@ -1178,9 +1107,6 @@ func (c *roundCore) begin(n, blockRows, k, w int) {
 func (c *roundCore) checkResult(worker int, ranges []coding.Range, rowWidth, numValues int) error {
 	if worker < 0 || worker >= c.n {
 		return fmt.Errorf("rpc: result from unknown worker %d", worker)
-	}
-	if rowWidth < 1 {
-		rowWidth = 1
 	}
 	if rowWidth != c.width {
 		return fmt.Errorf("rpc: worker %d result row width %d, round width %d", worker, rowWidth, c.width)
@@ -1336,30 +1262,30 @@ func (c *roundCore) copyStats() *RoundStats {
 	}
 }
 
-// roundWorkspace is the master's reusable float64-round gather state: the
-// shared core plus the partial structs handed to the float64 decoder, the
-// pooled result slots the round retains, and the reusable send struct.
-// One warm workspace makes the whole steady-state round — sending work,
-// receiving results, decoding — allocation-free.
-type roundWorkspace struct {
+// roundWorkspace is a job's reusable round gather state for one element
+// type: the shared core plus the partial structs handed to the decoder,
+// the pooled result slots the round retains, and the reusable send
+// struct. One warm workspace makes the whole steady-state round — sending
+// work, receiving results, decoding — allocation-free.
+type roundWorkspace[E elem] struct {
 	roundCore
 
-	partialSeq []coding.Partial
+	partialSeq []coding.PartialOf[E]
 	nPartials  int
-	partials   []*coding.Partial
+	partials   []*coding.PartialOf[E]
 	// retained lists the pooled result slots whose slices this round's
 	// partials alias; they recycle at the start of the next round.
-	retained []*Result
+	retained []*Result[E]
 	// workMsg is the reusable master→worker send struct (sends are
 	// synchronous, so one slot serves the whole round).
-	workMsg Work
+	workMsg Work[E]
 }
 
 // begin resets the workspace for a round of n workers over blockRows-row
 // partitions with decode threshold k and batch width w.
 //
 //s2c2:noalloc
-func (ws *roundWorkspace) begin(n, blockRows, k, w int) {
+func (ws *roundWorkspace[E]) begin(n, blockRows, k, w int) {
 	ws.roundCore.begin(n, blockRows, k, w)
 	ws.nPartials = 0
 	// A worker normally sends one result per Work message, and a round
@@ -1371,32 +1297,33 @@ func (ws *roundWorkspace) begin(n, blockRows, k, w int) {
 	// multi-gigabyte partitions.
 	if cap(ws.partialSeq) < 2*n {
 		//s2c2:waive noalloc — capacity growth, first round at this n only
-		ws.partialSeq = make([]coding.Partial, 2*n)
+		ws.partialSeq = make([]coding.PartialOf[E], 2*n)
 	}
 	ws.partialSeq = ws.partialSeq[:2*n]
 	ws.partials = ws.partials[:0]
 	if cap(ws.retained) < 2*n {
 		//s2c2:waive noalloc — capacity growth, first round at this n only
-		ws.retained = make([]*Result, 0, 2*n)
+		ws.retained = make([]*Result[E], 0, 2*n)
 	}
 }
 
 // addResult folds one worker result into the round: it wraps the values
-// as a decoder partial and advances per-row coverage through the core.
+// as a decoder partial, advances per-row coverage through the core, and
+// retains the pooled slot the partial aliases.
 //
 //s2c2:noalloc
-func (ws *roundWorkspace) addResult(r *Result, elapsed time.Duration) error {
+func (ws *roundWorkspace[E]) addResult(r *Result[E], elapsed time.Duration) error {
 	if err := ws.checkResult(r.Worker, r.Ranges, r.RowWidth, len(r.Values)); err != nil {
 		return err
 	}
-	var p *coding.Partial
+	var p *coding.PartialOf[E]
 	if ws.nPartials < len(ws.partialSeq) {
 		p = &ws.partialSeq[ws.nPartials]
 	} else {
 		// Result-split overflow past 2n partials: falls back to the heap
 		// (see begin); bounded frames beat the 0-alloc property here.
 		//s2c2:waive noalloc
-		p = &coding.Partial{}
+		p = new(coding.PartialOf[E])
 	}
 	ws.nPartials++
 	p.Worker = r.Worker
@@ -1406,60 +1333,24 @@ func (ws *roundWorkspace) addResult(r *Result, elapsed time.Duration) error {
 	// Amortized: reset to length 0 each round, capacity retained.
 	//s2c2:waive noalloc
 	ws.partials = append(ws.partials, p)
-	ws.noteResult(r.Worker, r.Ranges, elapsed, r.Partial)
-	return nil
-}
-
-// gfRoundWorkspace is roundWorkspace for the exact GF(2³¹−1) path.
-type gfRoundWorkspace struct {
-	roundCore
-
-	partialSeq []coding.GFPartial
-	nPartials  int
-	partials   []*coding.GFPartial
-	retained   []*GFResult
-	workMsg    GFWork
-}
-
-//s2c2:noalloc
-func (ws *gfRoundWorkspace) begin(n, blockRows, k, w int) {
-	ws.roundCore.begin(n, blockRows, k, w)
-	ws.nPartials = 0
-	if cap(ws.partialSeq) < 2*n {
-		//s2c2:waive noalloc — capacity growth, first round at this n only
-		ws.partialSeq = make([]coding.GFPartial, 2*n)
-	}
-	ws.partialSeq = ws.partialSeq[:2*n]
-	ws.partials = ws.partials[:0]
-	if cap(ws.retained) < 2*n {
-		//s2c2:waive noalloc — capacity growth, first round at this n only
-		ws.retained = make([]*GFResult, 0, 2*n)
-	}
-}
-
-//s2c2:noalloc
-func (ws *gfRoundWorkspace) addResult(r *GFResult, elapsed time.Duration) error {
-	if err := ws.checkResult(r.Worker, r.Ranges, r.RowWidth, len(r.Values)); err != nil {
-		return err
-	}
-	var p *coding.GFPartial
-	if ws.nPartials < len(ws.partialSeq) {
-		p = &ws.partialSeq[ws.nPartials]
-	} else {
-		// Result-split overflow past 2n partials (see begin).
-		//s2c2:waive noalloc
-		p = &coding.GFPartial{}
-	}
-	ws.nPartials++
-	p.Worker = r.Worker
-	p.RowWidth = ws.width
-	p.Ranges = r.Ranges
-	p.Values = r.Values
-	// Amortized: reset to length 0 each round, capacity retained.
 	//s2c2:waive noalloc
-	ws.partials = append(ws.partials, p)
+	ws.retained = append(ws.retained, r)
 	ws.noteResult(r.Worker, r.Ranges, elapsed, r.Partial)
 	return nil
+}
+
+// recycle returns the previous round's pooled result slots to the receive
+// pool. Callers of the previous round have released its partials by
+// contract (ReuseRound) or received copies (default), so the slots are
+// free for the readLoops to decode into again.
+//
+//s2c2:noalloc
+func (ws *roundWorkspace[E]) recycle(pool *sync.Pool) {
+	for i, r := range ws.retained {
+		pool.Put(r)
+		ws.retained[i] = nil
+	}
+	ws.retained = ws.retained[:0]
 }
 
 // PlanRound builds the next round's plan from the default job's double-
@@ -1479,7 +1370,30 @@ func (j *Job) PlanRound(s sched.Strategy, speeds []float64) (*sched.Plan, error)
 
 // RunRound is RunRoundContext with a background context.
 func (m *Master) RunRound(iter, phase int, x []float64, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.Partial, *RoundStats, error) {
-	return m.def.RunRoundContext(context.Background(), iter, phase, x, plan, k, timeoutFrac)
+	return m.def.RunRound(iter, phase, x, plan, k, timeoutFrac)
+}
+
+// RunRoundContext runs one float64 round on the master's default job (see
+// Job.RunRoundContext).
+func (m *Master) RunRoundContext(ctx context.Context, iter, phase int, x []float64, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.Partial, *RoundStats, error) {
+	return m.def.RunRoundContext(ctx, iter, phase, x, plan, k, timeoutFrac)
+}
+
+// RunRoundBatch runs one batched float64 round on the master's default
+// job (see Job.RunRoundBatchContext).
+func (m *Master) RunRoundBatch(iter, phase int, xs []float64, w int, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.Partial, *RoundStats, error) {
+	return m.def.RunRoundBatch(iter, phase, xs, w, plan, k, timeoutFrac)
+}
+
+// RunGFRound runs one exact round on the master's default job (see
+// Job.RunGFRoundContext).
+func (m *Master) RunGFRound(iter, phase int, x []gf.Elem, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.GFPartial, *RoundStats, error) {
+	return m.def.RunGFRound(iter, phase, x, plan, k, timeoutFrac)
+}
+
+// RunRound is RunRoundContext with a background context.
+func (j *Job) RunRound(iter, phase int, x []float64, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.Partial, *RoundStats, error) {
+	return runRound(context.Background(), j, &j.f64, iter, phase, x, 1, plan, k, timeoutFrac)
 }
 
 // RunRoundContext sends the plan's assignments for (iter, phase), gathers
@@ -1487,22 +1401,23 @@ func (m *Master) RunRound(iter, phase int, x []float64, plan *sched.Plan, k int,
 // once the first k workers respond, the rest get timeoutFrac of the mean
 // response time before their pending rows are reassigned to finished
 // workers. It returns the collected partials (decode with the encoder)
-// and the round's stats. With ReuseRound set, both alias the master's
-// round workspace and are valid until the next RunRound.
+// and the round's stats. With ReuseRound set, both alias the job's round
+// workspace and are valid until the job's next round.
 //
 // The context cancels the round between messages: when ctx is done the
 // round returns its error, abandoning any stragglers (their late results
 // are discarded by the next round's stale filter). The configured
 // StallTimeout still bounds the round independently of ctx. A round
 // parked in the serving wait queue (MaxConcurrentRounds) observes ctx and
-// Shutdown while queued.
-func (m *Master) RunRoundContext(ctx context.Context, iter, phase int, x []float64, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.Partial, *RoundStats, error) {
-	return m.def.runRound(ctx, iter, phase, x, 1, plan, k, timeoutFrac)
+// Shutdown while queued. A worker dying mid-round has its rows folded
+// back into the plan (RoundStats.Recovery).
+func (j *Job) RunRoundContext(ctx context.Context, iter, phase int, x []float64, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.Partial, *RoundStats, error) {
+	return runRound(ctx, j, &j.f64, iter, phase, x, 1, plan, k, timeoutFrac)
 }
 
 // RunRoundBatch is RunRoundBatchContext with a background context.
-func (m *Master) RunRoundBatch(iter, phase int, xs []float64, w int, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.Partial, *RoundStats, error) {
-	return m.def.RunRoundBatchContext(context.Background(), iter, phase, xs, w, plan, k, timeoutFrac)
+func (j *Job) RunRoundBatch(iter, phase int, xs []float64, w int, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.Partial, *RoundStats, error) {
+	return runRound(context.Background(), j, &j.f64, iter, phase, xs, w, plan, k, timeoutFrac)
 }
 
 // RunRoundBatchContext runs one batched round: w input vectors
@@ -1510,59 +1425,51 @@ func (m *Master) RunRoundBatch(iter, phase int, xs []float64, w int, plan *sched
 // work message per worker, each worker sweeps its assigned rows once
 // through the fused multi-x kernel, and the returned partials carry
 // RowWidth = w with row-major w-wide values, ready for the width-general
-// decoders. Grace, timeout, reassignment, and dedup semantics are
-// identical to the single-x round — the same gather core runs both —
-// with coverage counting a row only when all w of its lanes landed.
-func (m *Master) RunRoundBatchContext(ctx context.Context, iter, phase int, xs []float64, w int, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.Partial, *RoundStats, error) {
-	return m.def.RunRoundBatchContext(ctx, iter, phase, xs, w, plan, k, timeoutFrac)
-}
-
-// RunRound / RunRoundContext / RunRoundBatch / RunRoundBatchContext run
-// one float64 round for this job — the per-job forms of the Master
-// methods, with identical §4.3 grace, timeout, reassignment, and repair
-// semantics. Jobs' rounds run concurrently over the shared workers; with
-// ReuseRound set, the returned partials alias this job's own workspace,
-// valid until the job's next round.
-func (j *Job) RunRound(iter, phase int, x []float64, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.Partial, *RoundStats, error) {
-	return j.runRound(context.Background(), iter, phase, x, 1, plan, k, timeoutFrac)
-}
-
-// RunRoundContext is RunRound under a caller context.
-func (j *Job) RunRoundContext(ctx context.Context, iter, phase int, x []float64, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.Partial, *RoundStats, error) {
-	return j.runRound(ctx, iter, phase, x, 1, plan, k, timeoutFrac)
-}
-
-// RunRoundBatch is RunRoundBatchContext with a background context.
-func (j *Job) RunRoundBatch(iter, phase int, xs []float64, w int, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.Partial, *RoundStats, error) {
-	return j.RunRoundBatchContext(context.Background(), iter, phase, xs, w, plan, k, timeoutFrac)
-}
-
-// RunRoundBatchContext runs one batched round for this job (see
-// Master.RunRoundBatchContext for the width contract).
+// decoders. Grace, timeout, reassignment, and dedup semantics are those
+// of RunRoundContext — the same round path runs both — with coverage
+// counting a row only when all w of its lanes landed.
 func (j *Job) RunRoundBatchContext(ctx context.Context, iter, phase int, xs []float64, w int, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.Partial, *RoundStats, error) {
-	if err := checkBatchArgs(w, len(xs)); err != nil {
-		return nil, nil, err
-	}
-	return j.runRound(ctx, iter, phase, xs, w, plan, k, timeoutFrac)
+	return runRound(ctx, j, &j.f64, iter, phase, xs, w, plan, k, timeoutFrac)
 }
 
-// checkBatchArgs validates a batched round's width against the
-// concatenated input length.
-func checkBatchArgs(w, xsLen int) error {
-	if w < 1 || w > maxBatchWidth {
-		return fmt.Errorf("rpc: batch width %d outside [1,%d]", w, maxBatchWidth)
-	}
-	if xsLen%w != 0 {
-		return fmt.Errorf("rpc: batched input length %d not divisible by width %d", xsLen, w)
-	}
-	return nil
+// RunGFRound is RunGFRoundContext with a background context.
+func (j *Job) RunGFRound(iter, phase int, x []gf.Elem, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.GFPartial, *RoundStats, error) {
+	return runRound(context.Background(), j, &j.gf, iter, phase, x, 1, plan, k, timeoutFrac)
 }
 
+// RunGFRoundContext is RunRoundContext over GF(2³¹−1): the returned
+// partials decode bit-exactly through GFMDSCode.DecodeMatVecInto (or
+// assemble into Lagrange shares via coding.CompleteGFShares).
+func (j *Job) RunGFRoundContext(ctx context.Context, iter, phase int, x []gf.Elem, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.GFPartial, *RoundStats, error) {
+	return runRound(ctx, j, &j.gf, iter, phase, x, 1, plan, k, timeoutFrac)
+}
+
+// RunGFRoundBatch is RunGFRoundBatchContext with a background context.
+func (j *Job) RunGFRoundBatch(iter, phase int, xs []gf.Elem, w int, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.GFPartial, *RoundStats, error) {
+	return runRound(context.Background(), j, &j.gf, iter, phase, xs, w, plan, k, timeoutFrac)
+}
+
+// RunGFRoundBatchContext is RunRoundBatchContext over GF(2³¹−1). Because
+// field arithmetic has no rounding, lane l of the decoded result is
+// bit-exact equal to a single-x round over xs[l*cols : (l+1)*cols] —
+// batching changes throughput, never values.
+func (j *Job) RunGFRoundBatchContext(ctx context.Context, iter, phase int, xs []gf.Elem, w int, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.GFPartial, *RoundStats, error) {
+	return runRound(ctx, j, &j.gf, iter, phase, xs, w, plan, k, timeoutFrac)
+}
+
+// runRound is the one round loop of every element type and width.
+//
 //s2c2:noalloc
-func (j *Job) runRound(ctx context.Context, iter, phase int, x []float64, w int, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.Partial, *RoundStats, error) {
+func runRound[E elem](ctx context.Context, j *Job, js *jobSide[E], iter, phase int, x []E, w int, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.PartialOf[E], *RoundStats, error) {
+	if w < 1 || w > maxBatchWidth {
+		return nil, nil, fmt.Errorf("rpc: batch width %d outside [1,%d]", w, maxBatchWidth)
+	}
+	if len(x)%w != 0 {
+		return nil, nil, fmt.Errorf("rpc: batched input length %d not divisible by width %d", len(x), w)
+	}
 	m := j.m
 	j.mu.Lock()
-	blockRows := j.blockRows[phase]
+	blockRows := js.blockRows[phase]
 	j.mu.Unlock()
 	if blockRows == 0 {
 		return nil, nil, fmt.Errorf("rpc: phase %d has no distributed partitions", phase)
@@ -1574,8 +1481,8 @@ func (j *Job) runRound(ctx context.Context, iter, phase int, x []float64, w int,
 	defer m.releaseRoundSlot()
 	workers := m.conns()
 	n := len(workers)
-	ws := &j.round
-	m.recycleRound(ws)
+	ws := &js.round
+	ws.recycle(&js.ms.pool)
 	ws.begin(n, blockRows, k, w)
 	start := time.Now()
 	active := 0
@@ -1586,8 +1493,8 @@ func (j *Job) runRound(ctx context.Context, iter, phase int, x []float64, w int,
 			continue
 		}
 		ws.stats.AssignedRows[wk] = rows
-		ws.workMsg = Work{Job: j.id, Iter: iter, Phase: wp, W: w, X: x, Ranges: ranges}
-		if err := wc.t.sendWork(&ws.workMsg); err != nil {
+		ws.workMsg = Work[E]{Job: j.id, Iter: iter, Phase: wp, W: w, X: x, Ranges: ranges}
+		if err := sendLive(wc, &ws.workMsg); err != nil {
 			// A send failure is a worker death, not a round abort: note it
 			// and fold its rows back into the plan once every healthy send
 			// is out (repairing mid-loop would misplan — later workers'
@@ -1600,73 +1507,34 @@ func (j *Job) runRound(ctx context.Context, iter, phase int, x []float64, w int,
 		active++
 	}
 	if len(ws.stats.Recovery.DeadWorkers) > 0 {
-		if err := j.repairRound(ws, workers, iter, wp, x, w); err != nil {
+		if err := repairRound(j, ws, workers, iter, wp, x); err != nil {
 			return nil, nil, err
 		}
 	} else if active < k {
 		return nil, nil, fmt.Errorf("rpc: plan activates %d workers, decoding needs %d", active, k)
 	}
 
-	// Phase 1: wait for the first k responders (coded computing cannot
-	// decode with fewer).
+	// Collect until the first k responders are in (coded computing cannot
+	// decode with fewer) and per-row coverage reaches k. Once k have
+	// responded, the §4.3 grace window — timeoutFrac × their mean response
+	// time — arms; when it expires, pending coverage is reassigned to
+	// responders and collection continues until coverage completes.
 	hard := armTimer(&ws.hardTimer, m.stallTimeout())
-	defer hard.Stop()
-	for ws.nResponded < k {
-		select {
-		case r := <-j.results:
-			if r.Iter != iter || r.Phase != wp {
-				m.putResult(r) // stale result from an abandoned round
-				continue
-			}
-			if err := ws.addResult(r, time.Since(start)); err != nil {
-				return nil, nil, err
-			}
-			// Amortized: recycled and reset each round, capacity retained.
-			//s2c2:waive noalloc
-			ws.retained = append(ws.retained, r)
-		case err := <-j.errs:
-			we, ok := err.(*WorkerError)
-			if !ok {
-				return nil, nil, err
-			}
-			if we.Worker >= n || workers[we.Worker] != we.conn {
-				continue // stale: a conn no longer serving this round's slots
-			}
-			ws.noteDead(we.Worker)
-			if err := j.repairRound(ws, workers, iter, wp, x, w); err != nil {
-				return nil, nil, err
-			}
-		case <-m.quit:
-			return nil, nil, fmt.Errorf("rpc: master shut down during round (%d,%d)", iter, phase)
-		case <-ctx.Done():
-			return nil, nil, fmt.Errorf("rpc: round (%d,%d) canceled: %w", iter, phase, ctx.Err())
-		case <-hard.C:
-			return nil, nil, fmt.Errorf("rpc: round (%d,%d) stalled waiting for %d responders", iter, phase, k)
+	defer ws.stopTimers()
+	var grace <-chan time.Time
+	for ws.nResponded < k || ws.needed > 0 {
+		if grace == nil && ws.nResponded >= k {
+			grace = armTimer(&ws.graceTimer, ws.graceWindow(k, timeoutFrac)).C
 		}
-	}
-	if ws.needed == 0 {
-		m.noteRoundOutcome(&ws.roundCore, workers)
-		return m.finishRound(ws)
-	}
-
-	// Phase 2: grace window = timeoutFrac × mean response of the first k;
-	// when it expires, pending coverage is reassigned to responders and
-	// the round keeps collecting until coverage completes.
-	grace := armTimer(&ws.graceTimer, ws.graceWindow(k, timeoutFrac))
-	defer grace.Stop()
-	for ws.needed > 0 {
 		select {
-		case r := <-j.results:
+		case r := <-js.results:
 			if r.Iter != iter || r.Phase != wp {
-				m.putResult(r)
+				js.ms.pool.Put(r) // stale result from an abandoned round
 				continue
 			}
 			if err := ws.addResult(r, time.Since(start)); err != nil {
 				return nil, nil, err
 			}
-			// Amortized: recycled and reset each round, capacity retained.
-			//s2c2:waive noalloc
-			ws.retained = append(ws.retained, r)
 		case err := <-j.errs:
 			we, ok := err.(*WorkerError)
 			if !ok {
@@ -1676,266 +1544,80 @@ func (j *Job) runRound(ctx context.Context, iter, phase int, x []float64, w int,
 				continue // stale: a conn no longer serving this round's slots
 			}
 			ws.noteDead(we.Worker)
-			if err := j.repairRound(ws, workers, iter, wp, x, w); err != nil {
+			if err := repairRound(j, ws, workers, iter, wp, x); err != nil {
 				return nil, nil, err
 			}
 		case <-m.quit:
 			return nil, nil, fmt.Errorf("rpc: master shut down during round (%d,%d)", iter, phase)
 		case <-ctx.Done():
 			return nil, nil, fmt.Errorf("rpc: round (%d,%d) canceled: %w", iter, phase, ctx.Err())
-		case <-grace.C:
+		case <-grace:
 			// Timeout fired: reassign pending coverage to responders
 			// (reassigned results arrive tagged with the same iter/phase,
 			// so the same collection loop finishes the round). A send that
 			// fails here is a death, absorbed by the repair planner.
-			lost, err := j.reassign(ws, workers, iter, wp, x, w)
-			if err != nil {
+			if err := ws.planExtras(); err != nil {
 				return nil, nil, err
 			}
-			if lost {
-				if err := j.repairRound(ws, workers, iter, wp, x, w); err != nil {
+			if sendExtras(j, ws, workers, iter, wp, x, &ws.stats.Reassigned) {
+				if err := repairRound(j, ws, workers, iter, wp, x); err != nil {
 					return nil, nil, err
 				}
 			}
 		case <-hard.C:
-			return nil, nil, fmt.Errorf("rpc: round (%d,%d) stalled", iter, phase)
+			return nil, nil, fmt.Errorf("rpc: round (%d,%d) stalled waiting for %d responders", iter, phase, k)
 		}
 	}
 	m.noteRoundOutcome(&ws.roundCore, workers)
-	return m.finishRound(ws)
-}
-
-// RunGFRound is RunGFRoundContext with a background context.
-func (m *Master) RunGFRound(iter, phase int, x []gf.Elem, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.GFPartial, *RoundStats, error) {
-	return m.RunGFRoundContext(context.Background(), iter, phase, x, plan, k, timeoutFrac)
-}
-
-// RunGFRound runs one exact GF(2³¹−1) round for this job.
-func (j *Job) RunGFRound(iter, phase int, x []gf.Elem, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.GFPartial, *RoundStats, error) {
-	return j.RunGFRoundContext(context.Background(), iter, phase, x, plan, k, timeoutFrac)
-}
-
-// RunGFRoundContext runs one exact GF(2³¹−1) round for this job under ctx.
-func (j *Job) RunGFRoundContext(ctx context.Context, iter, phase int, x []gf.Elem, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.GFPartial, *RoundStats, error) {
-	return j.runGFRound(ctx, iter, phase, x, 1, plan, k, timeoutFrac)
-}
-
-// RunGFRoundBatch runs one batched exact round for this job.
-func (j *Job) RunGFRoundBatch(iter, phase int, xs []gf.Elem, w int, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.GFPartial, *RoundStats, error) {
-	return j.RunGFRoundBatchContext(context.Background(), iter, phase, xs, w, plan, k, timeoutFrac)
-}
-
-// RunGFRoundBatchContext runs one batched exact round for this job under ctx.
-func (j *Job) RunGFRoundBatchContext(ctx context.Context, iter, phase int, xs []gf.Elem, w int, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.GFPartial, *RoundStats, error) {
-	if err := checkBatchArgs(w, len(xs)); err != nil {
-		return nil, nil, err
-	}
-	return j.runGFRound(ctx, iter, phase, xs, w, plan, k, timeoutFrac)
-}
-
-// RunGFRoundContext is RunRoundContext over GF(2³¹−1): it broadcasts the
-// field-element input vector with the plan's assignments, gathers exact
-// partials until per-row coverage k is met under the same §4.3 timeout and
-// reassignment semantics, and returns partials that decode bit-exactly
-// through GFMDSCode.DecodeMatVecInto (or assemble into Lagrange shares via
-// coding.CompleteGFShares). With ReuseRound set, the partials and stats
-// alias the master's GF round workspace until the next RunGFRound.
-func (m *Master) RunGFRoundContext(ctx context.Context, iter, phase int, x []gf.Elem, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.GFPartial, *RoundStats, error) {
-	return m.def.runGFRound(ctx, iter, phase, x, 1, plan, k, timeoutFrac)
-}
-
-// RunGFRoundBatch is RunGFRoundBatchContext with a background context.
-func (m *Master) RunGFRoundBatch(iter, phase int, xs []gf.Elem, w int, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.GFPartial, *RoundStats, error) {
-	return m.RunGFRoundBatchContext(context.Background(), iter, phase, xs, w, plan, k, timeoutFrac)
-}
-
-// RunGFRoundBatchContext is RunRoundBatchContext over GF(2³¹−1): one
-// batched exact round whose partials carry RowWidth = w. Because field
-// arithmetic has no rounding, lane l of the decoded result is bit-exact
-// equal to a single-x round over xs[l*cols : (l+1)*cols] — batching
-// changes throughput, never values.
-func (m *Master) RunGFRoundBatchContext(ctx context.Context, iter, phase int, xs []gf.Elem, w int, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.GFPartial, *RoundStats, error) {
-	if err := checkBatchArgs(w, len(xs)); err != nil {
-		return nil, nil, err
-	}
-	return m.def.runGFRound(ctx, iter, phase, xs, w, plan, k, timeoutFrac)
-}
-
-//s2c2:noalloc
-func (j *Job) runGFRound(ctx context.Context, iter, phase int, x []gf.Elem, w int, plan *sched.Plan, k int, timeoutFrac float64) ([]*coding.GFPartial, *RoundStats, error) {
-	m := j.m
-	j.mu.Lock()
-	blockRows := j.gfBlockRows[phase]
-	j.mu.Unlock()
-	if blockRows == 0 {
-		return nil, nil, fmt.Errorf("rpc: phase %d has no distributed GF partitions", phase)
-	}
-	wp := j.wirePhase(phase)
-	if err := m.acquireRoundSlot(ctx, j); err != nil {
-		return nil, nil, err
-	}
-	defer m.releaseRoundSlot()
-	workers := m.conns()
-	n := len(workers)
-	ws := &j.gfRound
-	m.recycleGFRound(ws)
-	ws.begin(n, blockRows, k, w)
-	start := time.Now()
-	active := 0
-	for wk, wc := range workers {
-		ranges := plan.Assignments[wk]
-		rows := coding.TotalRows(ranges)
-		if rows == 0 {
-			continue
-		}
-		ws.stats.AssignedRows[wk] = rows
-		ws.workMsg = GFWork{Job: j.id, Iter: iter, Phase: wp, W: w, X: x, Ranges: ranges}
-		if err := wc.t.sendGFWork(&ws.workMsg); err != nil {
-			// Send failure = worker death; fold its rows back in after the
-			// healthy sends are out (see runRound).
-			ws.stats.AssignedRows[wk] = 0
-			ws.noteDead(wk)
-			continue
-		}
-		ws.markAssigned(wk, ranges)
-		active++
-	}
-	if len(ws.stats.Recovery.DeadWorkers) > 0 {
-		if err := j.repairGFRound(ws, workers, iter, wp, x, w); err != nil {
-			return nil, nil, err
-		}
-	} else if active < k {
-		return nil, nil, fmt.Errorf("rpc: plan activates %d workers, decoding needs %d", active, k)
-	}
-
-	// Phase 1: wait for the first k responders.
-	hard := armTimer(&ws.hardTimer, m.stallTimeout())
-	defer hard.Stop()
-	for ws.nResponded < k {
-		select {
-		case r := <-j.gfResults:
-			if r.Iter != iter || r.Phase != wp {
-				m.putGFResult(r) // stale result from an abandoned round
-				continue
-			}
-			if err := ws.addResult(r, time.Since(start)); err != nil {
-				return nil, nil, err
-			}
-			// Amortized: recycled and reset each round, capacity retained.
-			//s2c2:waive noalloc
-			ws.retained = append(ws.retained, r)
-		case err := <-j.errs:
-			we, ok := err.(*WorkerError)
-			if !ok {
-				return nil, nil, err
-			}
-			if we.Worker >= n || workers[we.Worker] != we.conn {
-				continue // stale: a conn no longer serving this round's slots
-			}
-			ws.noteDead(we.Worker)
-			if err := j.repairGFRound(ws, workers, iter, wp, x, w); err != nil {
-				return nil, nil, err
-			}
-		case <-m.quit:
-			return nil, nil, fmt.Errorf("rpc: master shut down during GF round (%d,%d)", iter, phase)
-		case <-ctx.Done():
-			return nil, nil, fmt.Errorf("rpc: GF round (%d,%d) canceled: %w", iter, phase, ctx.Err())
-		case <-hard.C:
-			return nil, nil, fmt.Errorf("rpc: GF round (%d,%d) stalled waiting for %d responders", iter, phase, k)
-		}
-	}
-	if ws.needed == 0 {
-		m.noteRoundOutcome(&ws.roundCore, workers)
-		return m.finishGFRound(ws)
-	}
-
-	// Phase 2: grace window, reassignment, and collection to coverage —
-	// the same semantics as the float64 round, through the shared core.
-	grace := armTimer(&ws.graceTimer, ws.graceWindow(k, timeoutFrac))
-	defer grace.Stop()
-	for ws.needed > 0 {
-		select {
-		case r := <-j.gfResults:
-			if r.Iter != iter || r.Phase != wp {
-				m.putGFResult(r)
-				continue
-			}
-			if err := ws.addResult(r, time.Since(start)); err != nil {
-				return nil, nil, err
-			}
-			// Amortized: recycled and reset each round, capacity retained.
-			//s2c2:waive noalloc
-			ws.retained = append(ws.retained, r)
-		case err := <-j.errs:
-			we, ok := err.(*WorkerError)
-			if !ok {
-				return nil, nil, err
-			}
-			if we.Worker >= n || workers[we.Worker] != we.conn {
-				continue // stale: a conn no longer serving this round's slots
-			}
-			ws.noteDead(we.Worker)
-			if err := j.repairGFRound(ws, workers, iter, wp, x, w); err != nil {
-				return nil, nil, err
-			}
-		case <-m.quit:
-			return nil, nil, fmt.Errorf("rpc: master shut down during GF round (%d,%d)", iter, phase)
-		case <-ctx.Done():
-			return nil, nil, fmt.Errorf("rpc: GF round (%d,%d) canceled: %w", iter, phase, ctx.Err())
-		case <-grace.C:
-			lost, err := j.reassignGF(ws, workers, iter, wp, x, w)
-			if err != nil {
-				return nil, nil, err
-			}
-			if lost {
-				if err := j.repairGFRound(ws, workers, iter, wp, x, w); err != nil {
-					return nil, nil, err
-				}
-			}
-		case <-hard.C:
-			return nil, nil, fmt.Errorf("rpc: GF round (%d,%d) stalled", iter, phase)
-		}
-	}
-	m.noteRoundOutcome(&ws.roundCore, workers)
-	return m.finishGFRound(ws)
-}
-
-// recycleRound returns the previous round's pooled result slots to the
-// receive pool. Callers of the previous RunRound have released its
-// partials by contract (ReuseRound) or received copies (default), so the
-// slots are free for the readLoops to decode into again.
-//
-//s2c2:noalloc
-func (m *Master) recycleRound(ws *roundWorkspace) {
-	for i, r := range ws.retained {
-		m.putResult(r)
-		ws.retained[i] = nil
-	}
-	ws.retained = ws.retained[:0]
-}
-
-// recycleGFRound is recycleRound for the GF workspace.
-//
-//s2c2:noalloc
-func (m *Master) recycleGFRound(ws *gfRoundWorkspace) {
-	for i, r := range ws.retained {
-		m.putGFResult(r)
-		ws.retained[i] = nil
-	}
-	ws.retained = ws.retained[:0]
-}
-
-// finishRound hands the gathered round to the caller: workspace-backed
-// when ReuseRound is set, deep copies otherwise (the pooled receive slots
-// the workspace-backed form aliases are overwritten by the next round, so
-// the default mode must not alias them).
-//
-//s2c2:noalloc
-func (m *Master) finishRound(ws *roundWorkspace) ([]*coding.Partial, *RoundStats, error) {
 	if m.cfg.ReuseRound {
 		return ws.partials, &ws.stats, nil
 	}
 	return copyPartials(ws.partials), ws.copyStats(), nil
+}
+
+// sendExtras sends the workspace's extra ranges — planned by planExtras
+// or planRepair — at the round's width (reassigned rows need all their
+// lanes recomputed like any others), adding each delivered extra to
+// AssignedRows and to *counter. A worker that dies at send time is noted
+// dead and its extras skipped; lost reports whether that happened so the
+// caller can run the repair planner over the remaining deficit.
+//
+//s2c2:noalloc
+func sendExtras[E elem](j *Job, ws *roundWorkspace[E], workers []*workerConn, iter, phase int, x []E, counter *int) (lost bool) {
+	for w, ranges := range ws.extraRanges {
+		if len(ranges) == 0 {
+			continue
+		}
+		ws.workMsg = Work[E]{Job: j.id, Iter: iter, Phase: phase, W: ws.width, X: x, Ranges: ranges}
+		if err := sendLive(workers[w], &ws.workMsg); err != nil {
+			ws.noteDead(w)
+			lost = true
+			continue
+		}
+		ws.markAssigned(w, ranges)
+		ws.stats.AssignedRows[w] += ws.extraRows[w]
+		*counter += ws.extraRows[w]
+	}
+	return lost
+}
+
+// errConnDead fails a send to a connection whose read loop has exited.
+var errConnDead = errors.New("rpc: connection is dead")
+
+// sendLive sends work to a live connection. A connection whose read loop
+// already exited fails like a broken send: its death was reported to the
+// rounds running at the time, so a later round would otherwise wait on
+// it — its send can still succeed into the socket buffer — until the
+// timers fire.
+//
+//s2c2:noalloc
+func sendLive[E elem](wc *workerConn, wk *Work[E]) error {
+	select {
+	case <-wc.dead:
+		return errConnDead
+	default:
+	}
+	return sendWork(wc.t, wk)
 }
 
 // copyPartials deep-copies a round's partials for the default contract.
@@ -1944,96 +1626,17 @@ func (m *Master) finishRound(ws *roundWorkspace) ([]*coding.Partial, *RoundStats
 // opt into ReuseRound instead.
 //
 //s2c2:noalloc-waive
-func copyPartials(src []*coding.Partial) []*coding.Partial {
-	out := make([]*coding.Partial, len(src))
+func copyPartials[E elem](src []*coding.PartialOf[E]) []*coding.PartialOf[E] {
+	out := make([]*coding.PartialOf[E], len(src))
 	for i, p := range src {
-		out[i] = &coding.Partial{
+		out[i] = &coding.PartialOf[E]{
 			Worker:   p.Worker,
 			RowWidth: p.RowWidth,
 			Ranges:   append([]coding.Range(nil), p.Ranges...),
-			Values:   append([]float64(nil), p.Values...),
+			Values:   append([]E(nil), p.Values...),
 		}
 	}
 	return out
-}
-
-// finishGFRound is finishRound for the exact path.
-//
-//s2c2:noalloc
-func (m *Master) finishGFRound(ws *gfRoundWorkspace) ([]*coding.GFPartial, *RoundStats, error) {
-	if m.cfg.ReuseRound {
-		return ws.partials, &ws.stats, nil
-	}
-	return copyGFPartials(ws.partials), ws.copyStats(), nil
-}
-
-// copyGFPartials is copyPartials for the exact path.
-//
-//s2c2:noalloc-waive
-func copyGFPartials(src []*coding.GFPartial) []*coding.GFPartial {
-	out := make([]*coding.GFPartial, len(src))
-	for i, p := range src {
-		out[i] = &coding.GFPartial{
-			Worker:   p.Worker,
-			RowWidth: p.RowWidth,
-			Ranges:   append([]coding.Range(nil), p.Ranges...),
-			Values:   append([]gf.Elem(nil), p.Values...),
-		}
-	}
-	return out
-}
-
-// reassign routes uncovered rows to responders via the core's plan and
-// sends the extra float64 work assignments (at the round's batch width —
-// reassigned rows need all their lanes recomputed like any others). A
-// responder that dies at send time is noted dead and its extras skipped;
-// lost reports whether that happened so the caller can run the repair
-// planner over the remaining deficit.
-//
-//s2c2:noalloc
-func (j *Job) reassign(ws *roundWorkspace, workers []*workerConn, iter, phase int, x []float64, bw int) (lost bool, err error) {
-	if err := ws.planExtras(); err != nil {
-		return false, err
-	}
-	for w, ranges := range ws.extraRanges {
-		if len(ranges) == 0 {
-			continue
-		}
-		ws.workMsg = Work{Job: j.id, Iter: iter, Phase: phase, W: bw, X: x, Ranges: ranges}
-		if err := workers[w].t.sendWork(&ws.workMsg); err != nil {
-			ws.noteDead(w)
-			lost = true
-			continue
-		}
-		ws.markAssigned(w, ranges)
-		ws.stats.AssignedRows[w] += ws.extraRows[w]
-		ws.stats.Reassigned += ws.extraRows[w]
-	}
-	return lost, nil
-}
-
-// reassignGF is reassign for the exact path.
-//
-//s2c2:noalloc
-func (j *Job) reassignGF(ws *gfRoundWorkspace, workers []*workerConn, iter, phase int, x []gf.Elem, bw int) (lost bool, err error) {
-	if err := ws.planExtras(); err != nil {
-		return false, err
-	}
-	for w, ranges := range ws.extraRanges {
-		if len(ranges) == 0 {
-			continue
-		}
-		ws.workMsg = GFWork{Job: j.id, Iter: iter, Phase: phase, W: bw, X: x, Ranges: ranges}
-		if err := workers[w].t.sendGFWork(&ws.workMsg); err != nil {
-			ws.noteDead(w)
-			lost = true
-			continue
-		}
-		ws.markAssigned(w, ranges)
-		ws.stats.AssignedRows[w] += ws.extraRows[w]
-		ws.stats.Reassigned += ws.extraRows[w]
-	}
-	return lost, nil
 }
 
 // sortDurations is an ascending insertion sort (short slices, no closure
@@ -2066,7 +1669,7 @@ func (m *Master) Shutdown() {
 	m.mu.Unlock()
 	close(m.quit) // unblock readers parked on a full results channel
 	for _, wc := range workers {
-		wc.t.sendShutdown() //nolint:errcheck // best effort
+		wc.t.sendSignal(wire.TypeShutdown) //nolint:errcheck // best effort
 		wc.t.close()
 	}
 	for _, wc := range pending {

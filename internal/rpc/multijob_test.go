@@ -8,11 +8,9 @@ package rpc
 // and the per-job steady-state zero-allocation bar.
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"sync"
 	"testing"
@@ -21,7 +19,6 @@ import (
 	"github.com/coded-computing/s2c2/internal/coding"
 	"github.com/coded-computing/s2c2/internal/mat"
 	"github.com/coded-computing/s2c2/internal/sched"
-	"github.com/coded-computing/s2c2/internal/wire"
 )
 
 // flatSpeeds returns n unit speeds (uniform workers).
@@ -38,247 +35,240 @@ func flatSpeeds(n int) []float64 {
 // job, and a batched GF job, every one using phase 0 of its own namespace
 // — run rounds concurrently over one shared cluster, under a concurrency
 // cap that forces the wait queue into play, and each decode matches a
-// local recompute (bit-exact on the GF paths). Runs on both transports;
-// the race detector covers the demux and queue machinery.
+// local recompute (bit-exact on the GF paths). The race detector covers
+// the demux and queue machinery.
 func TestConcurrentJobsExactness(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		useGob bool
-	}{
-		{"wire", false},
-		{"gob", true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			const (
-				n, k  = 4, 3
-				iters = 3
-			)
-			m := startTestCluster(t, n, clusterConfig{
-				master: MasterConfig{MaxConcurrentRounds: 2},
-				worker: func(i int) WorkerConfig {
-					return WorkerConfig{UseGob: tc.useGob, PerRowDelay: 50 * time.Microsecond}
-				},
-			})
-			rng := rand.New(rand.NewSource(1019))
-			strat := &sched.GeneralS2C2{N: n, K: k}
-			speeds := flatSpeeds(n)
-
-			var wg sync.WaitGroup
-			errCh := make(chan error, 4)
-			fail := func(format string, args ...any) {
-				errCh <- fmt.Errorf(format, args...)
-			}
-
-			// Job 1 of 4: the default float64 job on the legacy frames.
-			{
-				a := mat.Rand(36, 5, rng)
-				code, err := coding.NewMDSCode(n, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				enc := code.Encode(a)
-				if err := m.DistributePartitions(0, enc); err != nil {
-					t.Fatal(err)
-				}
-				x := make([]float64, 5)
-				for i := range x {
-					x[i] = rng.NormFloat64()
-				}
-				want := mat.MatVec(a, x)
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					s := *strat
-					s.BlockRows, s.Granularity = enc.BlockRows, enc.BlockRows
-					for iter := 0; iter < iters; iter++ {
-						plan, err := s.Plan(speeds)
-						if err != nil {
-							fail("default job plan: %v", err)
-							return
-						}
-						partials, _, err := m.RunRound(iter, 0, x, plan, k, 10.0)
-						if err != nil {
-							fail("default job round %d: %v", iter, err)
-							return
-						}
-						got, err := enc.DecodeMatVec(partials)
-						if err != nil {
-							fail("default job decode %d: %v", iter, err)
-							return
-						}
-						if !mat.VecApproxEqual(got, want, 1e-8) {
-							fail("default job iter %d: decode drifted from A·x", iter)
-							return
-						}
-					}
-				}()
-			}
-
-			// Job 2 of 4: exact GF(2³¹−1), width 1 — must be bit-exact.
-			{
-				j := m.OpenJob(JobConfig{})
-				defer j.Close()
-				rows, cols := 30, 4
-				data := randElems(rng, rows*cols)
-				code, err := coding.NewGFMDSCode(n, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				enc, err := code.Encode(rows, cols, data)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := j.DistributeGFPartitions(0, enc.Parts); err != nil {
-					t.Fatal(err)
-				}
-				x := randElems(rng, cols)
-				want := gfGroundTruth(rows, cols, data, x)
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					s := *strat
-					s.BlockRows, s.Granularity = enc.BlockRows, enc.BlockRows
-					for iter := 0; iter < iters; iter++ {
-						plan, err := s.Plan(speeds)
-						if err != nil {
-							fail("gf job plan: %v", err)
-							return
-						}
-						partials, _, err := j.RunGFRound(iter, 0, x, plan, k, 10.0)
-						if err != nil {
-							fail("gf job round %d: %v", iter, err)
-							return
-						}
-						got, err := enc.DecodeMatVec(partials)
-						if err != nil {
-							fail("gf job decode %d: %v", iter, err)
-							return
-						}
-						for r := range want {
-							if got[r] != want[r] {
-								fail("gf job iter %d row %d: %d != local %d", iter, r, got[r], want[r])
-								return
-							}
-						}
-					}
-				}()
-			}
-
-			// Job 3 of 4: batched float64, width 3.
-			{
-				const w = 3
-				j := m.OpenJob(JobConfig{})
-				defer j.Close()
-				a := mat.Rand(24, 6, rng)
-				code, err := coding.NewMDSCode(n, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				enc := code.Encode(a)
-				if err := j.DistributePartitions(0, enc); err != nil {
-					t.Fatal(err)
-				}
-				xs := make([]float64, w*6)
-				for i := range xs {
-					xs[i] = rng.NormFloat64()
-				}
-				rows := 24
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					s := *strat
-					s.BlockRows, s.Granularity = enc.BlockRows, enc.BlockRows
-					lane := make([]float64, rows)
-					for iter := 0; iter < iters; iter++ {
-						plan, err := s.Plan(speeds)
-						if err != nil {
-							fail("batch job plan: %v", err)
-							return
-						}
-						partials, _, err := j.RunRoundBatch(iter, 0, xs, w, plan, k, 10.0)
-						if err != nil {
-							fail("batch job round %d: %v", iter, err)
-							return
-						}
-						got, err := enc.DecodeMatVec(partials)
-						if err != nil {
-							fail("batch job decode %d: %v", iter, err)
-							return
-						}
-						for l := 0; l < w; l++ {
-							want := mat.MatVec(a, xs[l*6:(l+1)*6])
-							for r := 0; r < rows; r++ {
-								lane[r] = got[r*w+l]
-							}
-							if !mat.VecApproxEqual(lane, want, 1e-8) {
-								fail("batch job iter %d lane %d drifted from A·x_l", iter, l)
-								return
-							}
-						}
-					}
-				}()
-			}
-
-			// Job 4 of 4: batched GF, width 2 — bit-exact per lane.
-			{
-				const w = 2
-				j := m.OpenJob(JobConfig{})
-				defer j.Close()
-				rows, cols := 20, 5
-				data := randElems(rng, rows*cols)
-				code, err := coding.NewGFMDSCode(n, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				enc, err := code.Encode(rows, cols, data)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := j.DistributeGFPartitions(0, enc.Parts); err != nil {
-					t.Fatal(err)
-				}
-				xs := randElems(rng, w*cols)
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					s := *strat
-					s.BlockRows, s.Granularity = enc.BlockRows, enc.BlockRows
-					for iter := 0; iter < iters; iter++ {
-						plan, err := s.Plan(speeds)
-						if err != nil {
-							fail("gf batch job plan: %v", err)
-							return
-						}
-						partials, _, err := j.RunGFRoundBatch(iter, 0, xs, w, plan, k, 10.0)
-						if err != nil {
-							fail("gf batch job round %d: %v", iter, err)
-							return
-						}
-						got, err := enc.DecodeMatVec(partials)
-						if err != nil {
-							fail("gf batch job decode %d: %v", iter, err)
-							return
-						}
-						for l := 0; l < w; l++ {
-							want := gfGroundTruth(rows, cols, data, xs[l*cols:(l+1)*cols])
-							for r := range want {
-								if got[r*w+l] != want[r] {
-									fail("gf batch job iter %d lane %d row %d: %d != %d", iter, l, r, got[r*w+l], want[r])
-									return
-								}
-							}
-						}
-					}
-				}()
-			}
-
-			wg.Wait()
-			close(errCh)
-			for err := range errCh {
-				t.Error(err)
-			}
+	// The rounds run over the wire transport.
+	t.Run("wire", func(t *testing.T) {
+		const (
+			n, k  = 4, 3
+			iters = 3
+		)
+		m := startTestCluster(t, n, clusterConfig{
+			master: MasterConfig{MaxConcurrentRounds: 2},
+			worker: func(i int) WorkerConfig {
+				return WorkerConfig{PerRowDelay: 50 * time.Microsecond}
+			},
 		})
-	}
+		rng := rand.New(rand.NewSource(1019))
+		strat := &sched.GeneralS2C2{N: n, K: k}
+		speeds := flatSpeeds(n)
+
+		var wg sync.WaitGroup
+		errCh := make(chan error, 4)
+		fail := func(format string, args ...any) {
+			errCh <- fmt.Errorf(format, args...)
+		}
+
+		// Job 1 of 4: the master's default float64 job.
+		{
+			a := mat.Rand(36, 5, rng)
+			code, err := coding.NewMDSCode(n, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			enc := code.Encode(a)
+			if err := m.DistributePartitions(0, enc); err != nil {
+				t.Fatal(err)
+			}
+			x := make([]float64, 5)
+			for i := range x {
+				x[i] = rng.NormFloat64()
+			}
+			want := mat.MatVec(a, x)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				s := *strat
+				s.BlockRows, s.Granularity = enc.BlockRows, enc.BlockRows
+				for iter := 0; iter < iters; iter++ {
+					plan, err := s.Plan(speeds)
+					if err != nil {
+						fail("default job plan: %v", err)
+						return
+					}
+					partials, _, err := m.RunRound(iter, 0, x, plan, k, 10.0)
+					if err != nil {
+						fail("default job round %d: %v", iter, err)
+						return
+					}
+					got, err := enc.DecodeMatVec(partials)
+					if err != nil {
+						fail("default job decode %d: %v", iter, err)
+						return
+					}
+					if !mat.VecApproxEqual(got, want, 1e-8) {
+						fail("default job iter %d: decode drifted from A·x", iter)
+						return
+					}
+				}
+			}()
+		}
+
+		// Job 2 of 4: exact GF(2³¹−1), width 1 — must be bit-exact.
+		{
+			j := m.OpenJob(JobConfig{})
+			defer j.Close()
+			rows, cols := 30, 4
+			data := randElems(rng, rows*cols)
+			code, err := coding.NewGFMDSCode(n, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			enc, err := code.Encode(rows, cols, data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j.DistributeGFPartitions(0, enc.Parts); err != nil {
+				t.Fatal(err)
+			}
+			x := randElems(rng, cols)
+			want := gfGroundTruth(rows, cols, data, x)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				s := *strat
+				s.BlockRows, s.Granularity = enc.BlockRows, enc.BlockRows
+				for iter := 0; iter < iters; iter++ {
+					plan, err := s.Plan(speeds)
+					if err != nil {
+						fail("gf job plan: %v", err)
+						return
+					}
+					partials, _, err := j.RunGFRound(iter, 0, x, plan, k, 10.0)
+					if err != nil {
+						fail("gf job round %d: %v", iter, err)
+						return
+					}
+					got, err := enc.DecodeMatVec(partials)
+					if err != nil {
+						fail("gf job decode %d: %v", iter, err)
+						return
+					}
+					for r := range want {
+						if got[r] != want[r] {
+							fail("gf job iter %d row %d: %d != local %d", iter, r, got[r], want[r])
+							return
+						}
+					}
+				}
+			}()
+		}
+
+		// Job 3 of 4: batched float64, width 3.
+		{
+			const w = 3
+			j := m.OpenJob(JobConfig{})
+			defer j.Close()
+			a := mat.Rand(24, 6, rng)
+			code, err := coding.NewMDSCode(n, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			enc := code.Encode(a)
+			if err := j.DistributePartitions(0, enc); err != nil {
+				t.Fatal(err)
+			}
+			xs := make([]float64, w*6)
+			for i := range xs {
+				xs[i] = rng.NormFloat64()
+			}
+			rows := 24
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				s := *strat
+				s.BlockRows, s.Granularity = enc.BlockRows, enc.BlockRows
+				lane := make([]float64, rows)
+				for iter := 0; iter < iters; iter++ {
+					plan, err := s.Plan(speeds)
+					if err != nil {
+						fail("batch job plan: %v", err)
+						return
+					}
+					partials, _, err := j.RunRoundBatch(iter, 0, xs, w, plan, k, 10.0)
+					if err != nil {
+						fail("batch job round %d: %v", iter, err)
+						return
+					}
+					got, err := enc.DecodeMatVec(partials)
+					if err != nil {
+						fail("batch job decode %d: %v", iter, err)
+						return
+					}
+					for l := 0; l < w; l++ {
+						want := mat.MatVec(a, xs[l*6:(l+1)*6])
+						for r := 0; r < rows; r++ {
+							lane[r] = got[r*w+l]
+						}
+						if !mat.VecApproxEqual(lane, want, 1e-8) {
+							fail("batch job iter %d lane %d drifted from A·x_l", iter, l)
+							return
+						}
+					}
+				}
+			}()
+		}
+
+		// Job 4 of 4: batched GF, width 2 — bit-exact per lane.
+		{
+			const w = 2
+			j := m.OpenJob(JobConfig{})
+			defer j.Close()
+			rows, cols := 20, 5
+			data := randElems(rng, rows*cols)
+			code, err := coding.NewGFMDSCode(n, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			enc, err := code.Encode(rows, cols, data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j.DistributeGFPartitions(0, enc.Parts); err != nil {
+				t.Fatal(err)
+			}
+			xs := randElems(rng, w*cols)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				s := *strat
+				s.BlockRows, s.Granularity = enc.BlockRows, enc.BlockRows
+				for iter := 0; iter < iters; iter++ {
+					plan, err := s.Plan(speeds)
+					if err != nil {
+						fail("gf batch job plan: %v", err)
+						return
+					}
+					partials, _, err := j.RunGFRoundBatch(iter, 0, xs, w, plan, k, 10.0)
+					if err != nil {
+						fail("gf batch job round %d: %v", iter, err)
+						return
+					}
+					got, err := enc.DecodeMatVec(partials)
+					if err != nil {
+						fail("gf batch job decode %d: %v", iter, err)
+						return
+					}
+					for l := 0; l < w; l++ {
+						want := gfGroundTruth(rows, cols, data, xs[l*cols:(l+1)*cols])
+						for r := range want {
+							if got[r*w+l] != want[r] {
+								fail("gf batch job iter %d lane %d row %d: %d != %d", iter, l, r, got[r*w+l], want[r])
+								return
+							}
+						}
+					}
+				}
+			}()
+		}
+
+		wg.Wait()
+		close(errCh)
+		for err := range errCh {
+			t.Error(err)
+		}
+	})
 }
 
 // TestQueuedRoundsObserveShutdown pins the wait-queue half of the
@@ -378,7 +368,7 @@ func TestDistributeCancelMidBackoff(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	err = m.DistributePartitionsContext(ctx, 0, enc)
+	err = m.def.DistributePartitionsContext(ctx, 0, enc)
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("distribute over a dropped link reported success")
@@ -430,7 +420,10 @@ func TestHighestPriorityPolicyOrdersQueue(t *testing.T) {
 	const n = 1
 	m := startTestCluster(t, n, clusterConfig{
 		master: MasterConfig{MaxConcurrentRounds: 1, Policy: HighestPriority(), StallTimeout: 30 * time.Second},
-		worker: func(i int) WorkerConfig { return WorkerConfig{} },
+		// Completion order stands in for grant order: the winner releases
+		// the slot before its goroutine records the finish, so the other
+		// round must take long enough (8 rows × 1ms) not to overtake it.
+		worker: func(i int) WorkerConfig { return WorkerConfig{PerRowDelay: time.Millisecond} },
 	})
 	rng := rand.New(rand.NewSource(1049))
 	a := mat.Rand(8, 2, rng)
@@ -498,80 +491,28 @@ func TestMultiJobWireRoundZeroAllocsSteadyState(t *testing.T) {
 		t.Skip("race detector drops sync.Pool items, forcing reallocation")
 	}
 	enc, results, want := gatherFixture(t)
-	n, k := 10, 8
-
-	m := &Master{cfg: MasterConfig{ReuseRound: true}}
-	initJob(&m.def, m, 0, JobConfig{})
-	m.jobs = map[int]*Job{0: &m.def}
-	m.wireSeq.Store(jobPhaseBase)
+	m := newTestMaster(MasterConfig{ReuseRound: true})
 	jobs := []*Job{m.OpenJob(JobConfig{}), m.OpenJob(JobConfig{})}
 
-	// Pre-encode each job's result frames once, as the workers would:
-	// the same fixture values, tagged with the job id.
-	streams := make([]*bytes.Reader, len(jobs))
-	payloads := make([][]byte, len(jobs))
+	// Each job replays the same fixture values, tagged with its job id and
+	// wire phase.
+	harness := make([]*wireHarness, len(jobs))
 	for i, j := range jobs {
-		var stream bytes.Buffer
-		sender := &wireConn{w: wire.NewWriter(&stream)}
-		for _, r := range results {
-			tagged := *r
-			tagged.Job = j.id
-			tagged.Phase = j.wirePhase(0)
-			tagged.RowWidth = 1 // workers always stamp the width on tagged frames
-			if err := sender.sendResult(&tagged); err != nil {
-				t.Fatal(err)
-			}
+		tagged := make([]*Result[float64], len(results))
+		for q, r := range results {
+			c := *r
+			c.Job, c.Phase = j.id, j.wirePhase(0)
+			tagged[q] = &c
 		}
-		payloads[i] = stream.Bytes()
-		streams[i] = bytes.NewReader(payloads[i])
+		harness[i] = newWireHarness(encodeResults(t, tagged))
 	}
-	tc := &wireConn{w: wire.NewWriter(io.Discard), r: wire.NewReader(streams[0])}
-
 	decWS := enc.NewDecodeWorkspace()
 	dst := make([]float64, enc.OrigRows)
 	x := make([]float64, enc.Cols)
 	assignment := []coding.Range{{Lo: 0, Hi: enc.BlockRows}}
-	msg := &Msg{}
-
 	runRound := func(i int) {
 		j := jobs[i]
-		wp := j.wirePhase(0)
-		ws := &j.round
-		m.recycleRound(ws)
-		ws.begin(n, enc.BlockRows, k, 1)
-		for w := 0; w < n; w++ {
-			ws.workMsg = Work{Job: j.id, Iter: 0, Phase: wp, X: x, Ranges: assignment}
-			if err := tc.sendWork(&ws.workMsg); err != nil {
-				t.Fatal(err)
-			}
-		}
-		streams[i].Reset(payloads[i])
-		tc.r.Reset(streams[i])
-		for range results {
-			if err := tc.recv(msg); err != nil {
-				t.Fatal(err)
-			}
-			if msg.Kind != KindResult {
-				t.Fatalf("kind %d", msg.Kind)
-			}
-			owner := m.jobFor(msg.Result.Job)
-			if owner != j {
-				t.Fatalf("result for job %d routed to job %d", j.id, owner.id)
-			}
-			r := m.getResult()
-			*r, msg.Result = msg.Result, *r
-			if err := ws.addResult(r, time.Millisecond); err != nil {
-				t.Fatal(err)
-			}
-			ws.retained = append(ws.retained, r)
-		}
-		if ws.needed != 0 {
-			t.Fatal("fixture round did not reach coverage")
-		}
-		partials, _, err := m.finishRound(ws)
-		if err != nil {
-			t.Fatal(err)
-		}
+		partials := steadyWireRound(t, harness[i], j, &j.f64, len(results), 10, 8, 1, x, assignment)
 		if _, err := enc.DecodeMatVecInto(dst, partials, decWS); err != nil {
 			t.Fatal(err)
 		}
@@ -588,48 +529,5 @@ func TestMultiJobWireRoundZeroAllocsSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state multi-job round allocates %v/op per job, want 0", allocs)
-	}
-}
-
-// TestLegacyWireTrafficByteIdentical pins the compatibility acceptance
-// criterion: the default job's work frames — the only frames a single-job
-// master sends during a round — are byte-identical to the pre-serving
-// encoding (TypeWork, no job tag), and only non-default jobs move to the
-// tagged frame types.
-func TestLegacyWireTrafficByteIdentical(t *testing.T) {
-	assignment := []coding.Range{{Lo: 0, Hi: 7}}
-	x := []float64{1.5, -2.25, 3}
-
-	var legacy bytes.Buffer
-	c := &wireConn{w: wire.NewWriter(&legacy)}
-	if err := c.sendWork(&Work{Iter: 3, Phase: 0, W: 1, X: x, Ranges: assignment}); err != nil {
-		t.Fatal(err)
-	}
-	// Hand-build the pre-serving frame: TypeWork, iter, phase, x, ranges.
-	var want bytes.Buffer
-	w := wire.NewWriter(&want)
-	w.Begin(wire.TypeWork)
-	w.Int(3)
-	w.Int(0)
-	w.Float64s(x)
-	w.Int(1)
-	w.Int(assignment[0].Lo)
-	w.Int(assignment[0].Hi)
-	if err := w.End(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(legacy.Bytes(), want.Bytes()) {
-		t.Fatalf("default-job work frame is not byte-identical to the legacy encoding:\n got %x\nwant %x",
-			legacy.Bytes(), want.Bytes())
-	}
-
-	// A tagged job must leave the legacy frame type.
-	var tagged bytes.Buffer
-	c2 := &wireConn{w: wire.NewWriter(&tagged)}
-	if err := c2.sendWork(&Work{Job: 2, Iter: 3, Phase: 0, W: 1, X: x, Ranges: assignment}); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(tagged.Bytes(), want.Bytes()) {
-		t.Fatal("tagged work frame collided with the legacy encoding")
 	}
 }

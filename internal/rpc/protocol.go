@@ -8,14 +8,13 @@
 // per-worker response times (the predictor's input), applies the §4.3
 // timeout, reassigns pending coverage, and decodes.
 //
-// Transport: every connection opens with the wire-package handshake. The
-// default encoding (wire.VersionWire) is the length-prefixed binary frame
-// format of internal/wire — per-connection send/receive buffers are reused
-// across messages, payloads decode straight into caller-owned storage, and
-// the steady-state network round allocates nothing on the master. The
-// legacy encoding/gob envelope stream (wire.VersionGob) remains available
-// behind the handshake version byte as a compatibility fallback; a single
-// master serves both kinds of worker at once.
+// One round path serves both element types — float64 and exact
+// GF(2³¹−1) — type-parameterized over elem. Every connection opens with
+// the wire-package handshake (wire.VersionWire) and speaks the
+// length-prefixed binary frames of internal/wire: per-connection buffers
+// are reused across messages, payloads decode straight into caller-owned
+// storage, and the steady-state network round allocates nothing on the
+// master.
 //
 // Workers accept an artificial slowdown factor so straggler scenarios are
 // reproducible on a laptop (the controlled-cluster methodology of §6.5).
@@ -23,7 +22,7 @@ package rpc
 
 import (
 	"bufio"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -35,56 +34,15 @@ import (
 	"github.com/coded-computing/s2c2/internal/wire"
 )
 
-// Kind discriminates protocol messages.
-type Kind int
-
-// Protocol message kinds. The first five keep their historical values so
-// the gob envelope encoding stays stable; note that cross-version
-// compatibility is governed by the handshake (pre-handshake peers are
-// rejected at admit), not by these values. The GF kinds are the exact
-// GF(2³¹−1) mirror of the float64 round messages. They are an in-version
-// extension of VersionWire/VersionGob, not a new handshake version: the
-// handshake gates the *framing*, not the message set, so a peer built
-// before the GF kinds existed rejects the first GF frame as unknown and
-// drops the connection (surfacing as a worker error / transfer failure
-// on the master). Masters therefore only drive the GF path against
-// workers from the same build generation — acceptable while both
-// binaries ship from one tree; a capability bit in the hello would be
-// the upgrade path if that ever loosens.
-const (
-	KindHello     Kind = iota + 1
-	KindPartition      // monolithic partition (gob fallback only)
-	KindWork
-	KindResult
-	KindShutdown
-	KindPartitionStart   // begin a streamed partition (wire transport)
-	KindPartitionChunk   // one row band of a streamed partition
-	KindPartitionAck     // chunk stored; returns one flow-control credit
-	KindGFPartition      // monolithic GF partition (gob fallback only)
-	KindGFWork           // field-element row assignment
-	KindGFResult         // computed field-element rows
-	KindGFPartitionStart // begin a streamed GF partition (wire transport)
-	KindGFPartitionChunk // one row band of field elements
-	KindPing             // master → worker liveness probe
-	KindPong             // worker → master liveness answer
-)
+// elem is the element type of a round: float64 rows, or exact GF(2³¹−1)
+// field elements.
+type elem interface{ float64 | gf.Elem }
 
 // Hello is the worker's first message after the transport handshake.
 type Hello struct {
 	// Slowdown is the worker's self-reported artificial slowdown factor
 	// (1 = full speed); used only for logging/experiments.
 	Slowdown float64
-}
-
-// Partition carries one phase's whole coded partition in a single message.
-// Only the gob fallback ships partitions this way; the wire transport
-// streams PartitionStart + PartitionChunk instead so peak transport memory
-// is O(chunk), not O(partition).
-type Partition struct {
-	Phase int
-	Rows  int
-	Cols  int
-	Data  []float64
 }
 
 // PartitionStart announces a streamed partition: the worker allocates the
@@ -103,8 +61,7 @@ type PartitionStart struct {
 
 // PartitionChunk carries rows [Lo, Hi) of a streamed partition. The row
 // data stays in the receive buffer until the worker decodes it straight
-// into the partition matrix (Msg.ChunkInto). Only the wire transport
-// streams chunks; the gob fallback ships partitions monolithically.
+// into the partition matrix (chunkInto).
 type PartitionChunk struct {
 	Phase  int
 	Seq    int
@@ -120,40 +77,25 @@ type PartitionAck struct {
 
 // Work assigns row ranges for one round. W is the round's batch width:
 // the number of input vectors concatenated in X (x_l at
-// X[l*cols : (l+1)*cols]). W ≤ 1 is the classic single-x round; batched
-// rounds (W > 1) ship as a distinct frame type on the wire transport so
-// the single-x encoding stays byte-identical across versions. recv
-// normalizes W to 1 on single-x messages.
-//
-// Job names the serving job the round belongs to. Job 0 — the master's
-// default job — travels on the pre-serving frame types, byte-identical to
-// the pre-job encoding; other jobs use the TypeJob* frames, which always
-// carry both the job id and the width. recv normalizes Job to 0 on
-// untagged messages.
-type Work struct {
+// X[l*cols : (l+1)*cols]); a single-x round is W = 1. Job names the
+// serving job the round belongs to (0 is the master's default job).
+type Work[E elem] struct {
 	Job    int
 	Iter   int
 	Phase  int
 	W      int
-	X      []float64
+	X      []E
 	Ranges []coding.Range
 }
 
-// Result returns the computed rows. A result larger than the worker's
-// MaxResultRows arrives as several messages; every segment but the last
-// sets Partial, so the master counts the worker as responded — and
-// records its response time for the §4.3 timeout and the speed predictor
-// — only when the full result has been delivered.
-//
-// RowWidth is the values-per-row width: 1 for single-x rounds, the
-// round's W for batched rounds, where Values is row-major RowWidth-wide
-// (lane l of covered row r at Values[r*RowWidth+l]). recv normalizes it
-// to 1 on single-x messages.
-//
-// Job echoes the Work's job id so the master's read loop can route the
-// result to the owning job's round; it is 0 (and normalized to 0 by recv)
-// on untagged traffic.
-type Result struct {
+// Result returns the computed rows, RowWidth values per row (lane l of
+// covered row r at Values[r*RowWidth+l]). A result larger than the
+// worker's MaxResultRows arrives as several messages; every segment but
+// the last sets Partial, so the master counts the worker as responded —
+// and records its response time for the §4.3 timeout and the speed
+// predictor — only when the full result has been delivered. Job echoes
+// the Work's job id so the master's read loop can route the result.
+type Result[E elem] struct {
 	Job          int
 	Iter         int
 	Phase        int
@@ -161,145 +103,49 @@ type Result struct {
 	Partial      bool
 	RowWidth     int
 	Ranges       []coding.Range
-	Values       []float64
+	Values       []E
 	ComputeNanos int64
 }
 
-// GFPartition carries one phase's whole coded GF(2³¹−1) partition in a
-// single message (gob fallback only; the wire transport streams
-// GFPartitionStart + GFPartitionChunk instead).
-type GFPartition struct {
-	Phase int
-	Rows  int
-	Cols  int
-	Data  []gf.Elem
-}
-
-// GFWork assigns field-element row ranges for one exact round. X is the
-// round's input vector over GF(2³¹−1) — or, when W > 1, the round's W
-// input vectors concatenated (the batched mirror of Work.W). Job follows
-// the same tagging contract as Work.Job.
-type GFWork struct {
-	Job    int
-	Iter   int
-	Phase  int
-	W      int
-	X      []gf.Elem
-	Ranges []coding.Range
-}
-
-// GFResult returns the computed field-element rows — the exact mirror of
-// Result, including the split-result Partial contract, the RowWidth
-// batched-values layout, and the Job routing tag.
-type GFResult struct {
-	Job          int
-	Iter         int
-	Phase        int
-	Worker       int
-	Partial      bool
-	RowWidth     int
-	Ranges       []coding.Range
-	Values       []gf.Elem
-	ComputeNanos int64
-}
-
-// Envelope is the gob fallback's single wire type; exactly one payload
-// field is set, per Kind. The wire transport does not use it.
-type Envelope struct {
-	Kind        Kind
-	Hello       *Hello
-	Partition   *Partition
-	Work        *Work
-	Result      *Result
-	GFPartition *GFPartition
-	GFWork      *GFWork
-	GFResult    *GFResult
-}
-
-// Msg is a reusable receive slot: transport.recv decodes the next message
+// Msg is a reusable receive slot: wireConn.recv decodes the next frame
 // into it, overwriting slice fields in place (capacity is retained across
-// messages). A message that must outlive the next recv — a Work handed to
-// a concurrent handler, a Result queued for the round — is transferred out
-// by swapping structs with a pooled instance, which moves slice ownership
-// without copying.
+// messages). Elem says which of the element-typed fields a Work, Result,
+// PartitionStart or PartitionChunk frame filled. A message that must
+// outlive the next recv — a Work handed to a concurrent handler, a Result
+// queued for the round — is transferred out by swapping structs with a
+// pooled instance, which moves slice ownership without copying.
 type Msg struct {
-	Kind        Kind
-	Hello       Hello
-	Partition   Partition
-	PartStart   PartitionStart
-	PartChunk   PartitionChunk
-	PartAck     PartitionAck
-	Work        Work
-	Result      Result
-	GFPartition GFPartition
-	GFWork      GFWork
-	GFResult    GFResult
+	Type      wire.Type
+	Elem      wire.Elem
+	Hello     Hello
+	PartStart PartitionStart
+	PartChunk PartitionChunk
+	PartAck   PartitionAck
+	Work      Work[float64]
+	GFWork    Work[gf.Elem]
+	Result    Result[float64]
+	GFResult  Result[gf.Elem]
 
-	// chunk holds the undecoded row payload of a wire-transport
-	// PartitionChunk or GFPartitionChunk until ChunkInto/GFChunkInto
-	// drains it into the destination rows. (GF chunks reuse the PartStart/
-	// PartChunk header structs; the Kind disambiguates.)
+	// chunk holds the undecoded row payload of a PartitionChunk until
+	// chunkInto drains it into the destination rows.
 	chunk *wire.Payload
 }
 
-// ChunkInto decodes the pending partition chunk's row data into dst, the
+var errNoChunk = errors.New("rpc: no pending chunk payload")
+
+// chunkInto decodes the pending partition chunk's row data into dst, the
 // caller-owned matrix rows [Lo, Hi) — the only copy the data makes after
 // the socket read. It drains the chunk: a second call (or a call on a
 // message that is not a partition chunk) is an error.
 //
 //s2c2:noalloc
-func (m *Msg) ChunkInto(dst []float64) error {
+func chunkInto[E elem](m *Msg, dst []E) error {
 	if m.chunk == nil {
-		return fmt.Errorf("rpc: no pending chunk payload")
+		return errNoChunk
 	}
 	p := m.chunk
 	m.chunk = nil
-	return p.Float64sInto(dst)
-}
-
-// GFChunkInto is ChunkInto for a GF partition chunk: the pending uint32
-// payload decodes straight into the destination field-element rows.
-//
-//s2c2:noalloc
-func (m *Msg) GFChunkInto(dst []gf.Elem) error {
-	if m.chunk == nil {
-		return fmt.Errorf("rpc: no pending chunk payload")
-	}
-	p := m.chunk
-	m.chunk = nil
-	return p.Uint32sInto(gf.AsUint32s(dst))
-}
-
-// transport is the message layer spoken over one connection. Sends may be
-// called from multiple goroutines (implementations serialize internally);
-// recv must only be called from the connection's single reader goroutine.
-type transport interface {
-	sendHello(h *Hello) error
-	sendWork(w *Work) error
-	sendResult(r *Result) error
-	sendShutdown() error
-	sendPartition(p *Partition) error
-	sendPartitionStart(p *PartitionStart) error
-	sendPartitionChunk(phase, seq, lo, hi int, data []float64) error
-	sendPartitionAck(phase, seq int) error
-	sendGFWork(w *GFWork) error
-	sendGFResult(r *GFResult) error
-	sendGFPartition(p *GFPartition) error
-	sendGFPartitionStart(p *PartitionStart) error
-	sendGFPartitionChunk(phase, seq, lo, hi int, data []gf.Elem) error
-	// sendPing/sendPong are the heartbeat pair: the master probes
-	// liveness (registered and parked connections alike), the worker
-	// answers. Both frames are empty-bodied on both transports, so the
-	// heartbeat costs a few bytes per interval.
-	sendPing() error
-	sendPong() error
-	// streamsPartitions reports whether partitions ship as
-	// PartitionStart/Chunk streams (true) or as one monolithic
-	// Partition message (false) — the capability the master's
-	// distribution path dispatches on.
-	streamsPartitions() bool
-	recv(m *Msg) error
-	close() error
+	return wire.ElemsInto(p, dst)
 }
 
 // maxRPCFrame is the frame-body cap the rpc transport accepts — larger
@@ -309,33 +155,19 @@ type transport interface {
 // still rejected before any buffer is sized to them.
 const maxRPCFrame = 1 << 30
 
-// newTransport wraps an accepted/dialed connection in the transport
-// selected by the handshake version byte. writeTimeout bounds every frame
-// write: a peer that stops reading (frozen process, full socket buffer)
-// makes sends fail with a deadline error instead of blocking forever
-// while holding the connection's write mutex — which would otherwise
-// wedge rounds, partition transfers, and even Shutdown's best-effort
-// goodbye.
-func newTransport(c net.Conn, version byte, writeTimeout time.Duration) (transport, error) {
-	switch version {
-	case wire.VersionWire:
-		return newWireConn(c, writeTimeout), nil
-	case wire.VersionGob:
-		return newGobConn(c, writeTimeout), nil
-	default:
-		return nil, fmt.Errorf("rpc: unsupported protocol version %d", version)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// wire transport
-
-// wireConn frames messages with internal/wire. One Writer (guarded by mu)
-// and one Reader per connection; both reuse their buffers across messages,
-// so a steady-state round performs no per-message allocation.
+// wireConn is the message layer over one connection. One Writer (guarded
+// by mu) and one Reader per connection; both reuse their buffers across
+// messages, so a steady-state round performs no per-message allocation.
+// Sends may be called from multiple goroutines; recv only from the
+// connection's single reader goroutine.
+//
+// writeTimeout bounds every frame write: a peer that stops reading
+// (frozen process, full socket buffer) makes sends fail with a deadline
+// error instead of blocking forever while holding the write mutex — which
+// would otherwise wedge rounds, partition transfers, and even Shutdown's
+// best-effort goodbye.
 type wireConn struct {
 	c            net.Conn
-	br           *bufio.Reader
 	writeTimeout time.Duration
 
 	mu sync.Mutex // serializes frame writes
@@ -347,10 +179,9 @@ type wireConn struct {
 }
 
 func newWireConn(c net.Conn, writeTimeout time.Duration) *wireConn {
-	br := bufio.NewReaderSize(c, 64<<10)
-	r := wire.NewReader(br)
+	r := wire.NewReader(bufio.NewReaderSize(c, 64<<10))
 	r.SetMaxFrame(maxRPCFrame)
-	return &wireConn{c: c, br: br, writeTimeout: writeTimeout, w: wire.NewWriter(c), r: r}
+	return &wireConn{c: c, writeTimeout: writeTimeout, w: wire.NewWriter(c), r: r}
 }
 
 // writeDeadlineFor scales a per-send write deadline with the payload —
@@ -385,129 +216,64 @@ func (c *wireConn) sendHello(h *Hello) error {
 	return c.end()
 }
 
-// sendWork frames a single-x assignment as TypeWork — byte-identical to
-// the pre-batch encoding — and a batched one (W > 1) as TypeWorkBatch
-// with the width field ahead of the concatenated x-vectors. A non-default
-// job's assignment (Job != 0) travels as TypeJobWork, which carries the
-// job id and the width at every width, so job 0's traffic never changes
-// shape for old workers.
+// sendSignal sends an empty-bodied frame: Shutdown, or the Ping/Pong
+// heartbeat pair, which costs a few bytes per interval.
 //
 //s2c2:noalloc
-func (c *wireConn) sendWork(wk *Work) error {
+func (c *wireConn) sendSignal(t wire.Type) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if wk.Job != 0 {
-		c.w.Begin(wire.TypeJobWork)
-		c.w.Int(wk.Job)
-		c.w.Int(wk.Iter)
-		c.w.Int(wk.Phase)
-		c.w.Int(wk.W)
-		c.w.Float64s(wk.X)
-		writeRanges(c.w, wk.Ranges)
-		return c.end()
-	}
-	if wk.W > 1 {
-		c.w.Begin(wire.TypeWorkBatch)
-		c.w.Int(wk.Iter)
-		c.w.Int(wk.Phase)
-		c.w.Int(wk.W)
-		c.w.Float64s(wk.X)
-		writeRanges(c.w, wk.Ranges)
-		return c.end()
-	}
+	c.w.Begin(t)
+	return c.end()
+}
+
+// sendWork frames an assignment: element kind, job id, iter, phase,
+// width, the concatenated x-vectors, and the ranges.
+//
+//s2c2:noalloc
+func sendWork[E elem](c *wireConn, wk *Work[E]) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.w.Begin(wire.TypeWork)
+	c.w.Uvarint(uint64(wire.KindOf[E]()))
+	c.w.Int(wk.Job)
 	c.w.Int(wk.Iter)
 	c.w.Int(wk.Phase)
-	c.w.Float64s(wk.X)
+	c.w.Int(wk.W)
+	wire.PutElems(c.w, wk.X)
 	writeRanges(c.w, wk.Ranges)
 	return c.end()
 }
 
-// sendResult frames a single-x result as TypeResult (unchanged encoding)
-// and a batched one (RowWidth > 1) as TypeResultBatch with the width
-// field ahead of the ranges and row-major width-wide values. A tagged
-// job's result (Job != 0) echoes the job id on TypeJobResult, width field
-// always present.
+// sendResult frames a result (or one segment of a split result).
 //
 //s2c2:noalloc
-func (c *wireConn) sendResult(r *Result) error {
+func sendResult[E elem](c *wireConn, r *Result[E]) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if r.Job != 0 {
-		c.w.Begin(wire.TypeJobResult)
-		c.w.Int(r.Job)
-		c.w.Int(r.Iter)
-		c.w.Int(r.Phase)
-		c.w.Int(r.Worker)
-		if r.Partial {
-			c.w.Uvarint(1)
-		} else {
-			c.w.Uvarint(0)
-		}
-		c.w.Uvarint(uint64(r.ComputeNanos))
-		c.w.Int(r.RowWidth)
-		writeRanges(c.w, r.Ranges)
-		c.w.Float64s(r.Values)
-		return c.end()
-	}
-	if r.RowWidth > 1 {
-		c.w.Begin(wire.TypeResultBatch)
-	} else {
-		c.w.Begin(wire.TypeResult)
-	}
+	c.w.Begin(wire.TypeResult)
+	c.w.Uvarint(uint64(wire.KindOf[E]()))
+	c.w.Int(r.Job)
 	c.w.Int(r.Iter)
 	c.w.Int(r.Phase)
 	c.w.Int(r.Worker)
+	partial := uint64(0)
 	if r.Partial {
-		c.w.Uvarint(1)
-	} else {
-		c.w.Uvarint(0)
+		partial = 1
 	}
+	c.w.Uvarint(partial)
 	c.w.Uvarint(uint64(r.ComputeNanos))
-	if r.RowWidth > 1 {
-		c.w.Int(r.RowWidth)
-	}
+	c.w.Int(r.RowWidth)
 	writeRanges(c.w, r.Ranges)
-	c.w.Float64s(r.Values)
+	wire.PutElems(c.w, r.Values)
 	return c.end()
 }
 
-func (c *wireConn) sendShutdown() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.w.Begin(wire.TypeShutdown)
-	return c.end()
-}
-
-//s2c2:noalloc
-func (c *wireConn) sendPing() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.w.Begin(wire.TypePing)
-	return c.end()
-}
-
-//s2c2:noalloc
-func (c *wireConn) sendPong() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.w.Begin(wire.TypePong)
-	return c.end()
-}
-
-// sendPartition is the monolithic form; the wire transport streams
-// partitions instead, so shipping one as a single oversized frame would
-// defeat the bounded-memory design.
-func (c *wireConn) sendPartition(p *Partition) error {
-	return fmt.Errorf("rpc: wire transport streams partitions; use sendPartitionStart/Chunk")
-}
-
-func (c *wireConn) streamsPartitions() bool { return true }
-
-func (c *wireConn) sendPartitionStart(p *PartitionStart) error {
+func (c *wireConn) sendPartitionStart(kind wire.Elem, p *PartitionStart) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.w.Begin(wire.TypePartitionStart)
+	c.w.Uvarint(uint64(kind))
 	c.w.Int(p.Phase)
 	c.w.Int(p.Seq)
 	c.w.Int(p.Rows)
@@ -517,15 +283,16 @@ func (c *wireConn) sendPartitionStart(p *PartitionStart) error {
 }
 
 //s2c2:noalloc
-func (c *wireConn) sendPartitionChunk(phase, seq, lo, hi int, data []float64) error {
+func sendChunk[E elem](c *wireConn, phase, seq, lo, hi int, data []E) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.w.Begin(wire.TypePartitionChunk)
+	c.w.Uvarint(uint64(wire.KindOf[E]()))
 	c.w.Int(phase)
 	c.w.Int(seq)
 	c.w.Int(lo)
 	c.w.Int(hi)
-	c.w.Float64s(data)
+	wire.PutElems(c.w, data)
 	return c.end()
 }
 
@@ -540,187 +307,36 @@ func (c *wireConn) sendPartitionAck(phase, seq int) error {
 }
 
 //s2c2:noalloc
-func (c *wireConn) sendGFWork(wk *GFWork) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if wk.Job != 0 {
-		c.w.Begin(wire.TypeJobGFWork)
-		c.w.Int(wk.Job)
-		c.w.Int(wk.Iter)
-		c.w.Int(wk.Phase)
-		c.w.Int(wk.W)
-		c.w.Uint32s(gf.AsUint32s(wk.X))
-		writeRanges(c.w, wk.Ranges)
-		return c.end()
-	}
-	if wk.W > 1 {
-		c.w.Begin(wire.TypeGFWorkBatch)
-		c.w.Int(wk.Iter)
-		c.w.Int(wk.Phase)
-		c.w.Int(wk.W)
-		c.w.Uint32s(gf.AsUint32s(wk.X))
-		writeRanges(c.w, wk.Ranges)
-		return c.end()
-	}
-	c.w.Begin(wire.TypeGFWork)
-	c.w.Int(wk.Iter)
-	c.w.Int(wk.Phase)
-	c.w.Uint32s(gf.AsUint32s(wk.X))
-	writeRanges(c.w, wk.Ranges)
-	return c.end()
-}
-
-//s2c2:noalloc
-func (c *wireConn) sendGFResult(r *GFResult) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if r.Job != 0 {
-		c.w.Begin(wire.TypeJobGFResult)
-		c.w.Int(r.Job)
-		c.w.Int(r.Iter)
-		c.w.Int(r.Phase)
-		c.w.Int(r.Worker)
-		if r.Partial {
-			c.w.Uvarint(1)
-		} else {
-			c.w.Uvarint(0)
-		}
-		c.w.Uvarint(uint64(r.ComputeNanos))
-		c.w.Int(r.RowWidth)
-		writeRanges(c.w, r.Ranges)
-		c.w.Uint32s(gf.AsUint32s(r.Values))
-		return c.end()
-	}
-	if r.RowWidth > 1 {
-		c.w.Begin(wire.TypeGFResultBatch)
-	} else {
-		c.w.Begin(wire.TypeGFResult)
-	}
-	c.w.Int(r.Iter)
-	c.w.Int(r.Phase)
-	c.w.Int(r.Worker)
-	if r.Partial {
-		c.w.Uvarint(1)
-	} else {
-		c.w.Uvarint(0)
-	}
-	c.w.Uvarint(uint64(r.ComputeNanos))
-	if r.RowWidth > 1 {
-		c.w.Int(r.RowWidth)
-	}
-	writeRanges(c.w, r.Ranges)
-	c.w.Uint32s(gf.AsUint32s(r.Values))
-	return c.end()
-}
-
-// sendGFPartition is the monolithic form; like float64 partitions, the
-// wire transport streams GF partitions instead.
-func (c *wireConn) sendGFPartition(p *GFPartition) error {
-	return fmt.Errorf("rpc: wire transport streams partitions; use sendGFPartitionStart/Chunk")
-}
-
-func (c *wireConn) sendGFPartitionStart(p *PartitionStart) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.w.Begin(wire.TypeGFPartitionStart)
-	c.w.Int(p.Phase)
-	c.w.Int(p.Seq)
-	c.w.Int(p.Rows)
-	c.w.Int(p.Cols)
-	c.w.Int(p.ChunkRows)
-	return c.end()
-}
-
-//s2c2:noalloc
-func (c *wireConn) sendGFPartitionChunk(phase, seq, lo, hi int, data []gf.Elem) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.w.Begin(wire.TypeGFPartitionChunk)
-	c.w.Int(phase)
-	c.w.Int(seq)
-	c.w.Int(lo)
-	c.w.Int(hi)
-	c.w.Uint32s(gf.AsUint32s(data))
-	return c.end()
-}
-
-//s2c2:noalloc
 func (c *wireConn) recv(m *Msg) error {
 	typ, p, err := c.r.Next()
 	if err != nil {
 		return err
 	}
-	m.chunk = nil
+	m.Type, m.chunk = typ, nil
 	switch typ {
 	case wire.TypeHello:
-		m.Kind = KindHello
 		m.Hello.Slowdown = p.Float64()
 	case wire.TypeWork:
-		m.Kind = KindWork
-		m.Work.Job = 0 // pooled slot may carry a stale job tag
-		m.Work.Iter = p.Int()
-		m.Work.Phase = p.Int()
-		m.Work.W = 1 // pooled slot may carry a stale batch width
-		m.Work.X = p.Float64s(m.Work.X)
-		m.Work.Ranges = readRanges(p, m.Work.Ranges)
-	case wire.TypeWorkBatch:
-		m.Kind = KindWork
-		m.Work.Job = 0
-		m.Work.Iter = p.Int()
-		m.Work.Phase = p.Int()
-		m.Work.W = readBatchWidth(p)
-		m.Work.X = p.Float64s(m.Work.X)
-		m.Work.Ranges = readRanges(p, m.Work.Ranges)
-	case wire.TypeJobWork:
-		m.Kind = KindWork
-		m.Work.Job = readJobID(p)
-		m.Work.Iter = p.Int()
-		m.Work.Phase = p.Int()
-		m.Work.W = readJobWidth(p)
-		m.Work.X = p.Float64s(m.Work.X)
-		m.Work.Ranges = readRanges(p, m.Work.Ranges)
+		if m.Elem = readElem(p); m.Elem == wire.ElemFloat64 {
+			readWork(p, &m.Work)
+		} else {
+			readWork(p, &m.GFWork)
+		}
 	case wire.TypeResult:
-		m.Kind = KindResult
-		m.Result.Job = 0 // pooled slot may carry a stale job tag
-		m.Result.Iter = p.Int()
-		m.Result.Phase = p.Int()
-		m.Result.Worker = p.Int()
-		m.Result.Partial = p.Uvarint() != 0
-		m.Result.ComputeNanos = int64(p.Uvarint())
-		m.Result.RowWidth = 1 // pooled slot may carry a stale batch width
-		m.Result.Ranges = readRanges(p, m.Result.Ranges)
-		m.Result.Values = p.Float64s(m.Result.Values)
-	case wire.TypeResultBatch:
-		m.Kind = KindResult
-		m.Result.Job = 0
-		m.Result.Iter = p.Int()
-		m.Result.Phase = p.Int()
-		m.Result.Worker = p.Int()
-		m.Result.Partial = p.Uvarint() != 0
-		m.Result.ComputeNanos = int64(p.Uvarint())
-		m.Result.RowWidth = readBatchWidth(p)
-		m.Result.Ranges = readRanges(p, m.Result.Ranges)
-		m.Result.Values = p.Float64s(m.Result.Values)
-	case wire.TypeJobResult:
-		m.Kind = KindResult
-		m.Result.Job = readJobID(p)
-		m.Result.Iter = p.Int()
-		m.Result.Phase = p.Int()
-		m.Result.Worker = p.Int()
-		m.Result.Partial = p.Uvarint() != 0
-		m.Result.ComputeNanos = int64(p.Uvarint())
-		m.Result.RowWidth = readJobWidth(p)
-		m.Result.Ranges = readRanges(p, m.Result.Ranges)
-		m.Result.Values = p.Float64s(m.Result.Values)
+		if m.Elem = readElem(p); m.Elem == wire.ElemFloat64 {
+			readResult(p, &m.Result)
+		} else {
+			readResult(p, &m.GFResult)
+		}
 	case wire.TypePartitionStart:
-		m.Kind = KindPartitionStart
+		m.Elem = readElem(p)
 		m.PartStart.Phase = p.Int()
 		m.PartStart.Seq = p.Int()
 		m.PartStart.Rows = p.Int()
 		m.PartStart.Cols = p.Int()
 		m.PartStart.ChunkRows = p.Int()
 	case wire.TypePartitionChunk:
-		m.Kind = KindPartitionChunk
+		m.Elem = readElem(p)
 		m.PartChunk.Phase = p.Int()
 		m.PartChunk.Seq = p.Int()
 		m.PartChunk.Lo = p.Int()
@@ -728,103 +344,42 @@ func (c *wireConn) recv(m *Msg) error {
 		if err := p.Err(); err != nil {
 			return err
 		}
-		// The cursor is consumed by ChunkInto before the next recv on this
+		// The cursor is consumed by chunkInto before the next recv on this
 		// conn; recv's single-goroutine ownership makes the stash safe.
 		//s2c2:waive payloadescape
-		m.chunk = p // row payload decoded by ChunkInto, straight into the matrix
+		m.chunk = p // row payload decoded by chunkInto, straight into the matrix
 		return nil
 	case wire.TypePartitionAck:
-		m.Kind = KindPartitionAck
 		m.PartAck.Phase = p.Int()
 		m.PartAck.Seq = p.Int()
-	case wire.TypeGFWork:
-		m.Kind = KindGFWork
-		m.GFWork.Job = 0 // pooled slot may carry a stale job tag
-		m.GFWork.Iter = p.Int()
-		m.GFWork.Phase = p.Int()
-		m.GFWork.W = 1 // pooled slot may carry a stale batch width
-		m.GFWork.X = gf.AsElems(p.Uint32s(gf.AsUint32s(m.GFWork.X)))
-		m.GFWork.Ranges = readRanges(p, m.GFWork.Ranges)
-	case wire.TypeGFWorkBatch:
-		m.Kind = KindGFWork
-		m.GFWork.Job = 0
-		m.GFWork.Iter = p.Int()
-		m.GFWork.Phase = p.Int()
-		m.GFWork.W = readBatchWidth(p)
-		m.GFWork.X = gf.AsElems(p.Uint32s(gf.AsUint32s(m.GFWork.X)))
-		m.GFWork.Ranges = readRanges(p, m.GFWork.Ranges)
-	case wire.TypeJobGFWork:
-		m.Kind = KindGFWork
-		m.GFWork.Job = readJobID(p)
-		m.GFWork.Iter = p.Int()
-		m.GFWork.Phase = p.Int()
-		m.GFWork.W = readJobWidth(p)
-		m.GFWork.X = gf.AsElems(p.Uint32s(gf.AsUint32s(m.GFWork.X)))
-		m.GFWork.Ranges = readRanges(p, m.GFWork.Ranges)
-	case wire.TypeGFResult:
-		m.Kind = KindGFResult
-		m.GFResult.Job = 0 // pooled slot may carry a stale job tag
-		m.GFResult.Iter = p.Int()
-		m.GFResult.Phase = p.Int()
-		m.GFResult.Worker = p.Int()
-		m.GFResult.Partial = p.Uvarint() != 0
-		m.GFResult.ComputeNanos = int64(p.Uvarint())
-		m.GFResult.RowWidth = 1 // pooled slot may carry a stale batch width
-		m.GFResult.Ranges = readRanges(p, m.GFResult.Ranges)
-		m.GFResult.Values = gf.AsElems(p.Uint32s(gf.AsUint32s(m.GFResult.Values)))
-	case wire.TypeGFResultBatch:
-		m.Kind = KindGFResult
-		m.GFResult.Job = 0
-		m.GFResult.Iter = p.Int()
-		m.GFResult.Phase = p.Int()
-		m.GFResult.Worker = p.Int()
-		m.GFResult.Partial = p.Uvarint() != 0
-		m.GFResult.ComputeNanos = int64(p.Uvarint())
-		m.GFResult.RowWidth = readBatchWidth(p)
-		m.GFResult.Ranges = readRanges(p, m.GFResult.Ranges)
-		m.GFResult.Values = gf.AsElems(p.Uint32s(gf.AsUint32s(m.GFResult.Values)))
-	case wire.TypeJobGFResult:
-		m.Kind = KindGFResult
-		m.GFResult.Job = readJobID(p)
-		m.GFResult.Iter = p.Int()
-		m.GFResult.Phase = p.Int()
-		m.GFResult.Worker = p.Int()
-		m.GFResult.Partial = p.Uvarint() != 0
-		m.GFResult.ComputeNanos = int64(p.Uvarint())
-		m.GFResult.RowWidth = readJobWidth(p)
-		m.GFResult.Ranges = readRanges(p, m.GFResult.Ranges)
-		m.GFResult.Values = gf.AsElems(p.Uint32s(gf.AsUint32s(m.GFResult.Values)))
-	case wire.TypeGFPartitionStart:
-		m.Kind = KindGFPartitionStart
-		m.PartStart.Phase = p.Int()
-		m.PartStart.Seq = p.Int()
-		m.PartStart.Rows = p.Int()
-		m.PartStart.Cols = p.Int()
-		m.PartStart.ChunkRows = p.Int()
-	case wire.TypeGFPartitionChunk:
-		m.Kind = KindGFPartitionChunk
-		m.PartChunk.Phase = p.Int()
-		m.PartChunk.Seq = p.Int()
-		m.PartChunk.Lo = p.Int()
-		m.PartChunk.Hi = p.Int()
-		if err := p.Err(); err != nil {
-			return err
-		}
-		// Same contract as the float chunk above: GFChunkInto drains the
-		// cursor before the conn reads another frame.
-		//s2c2:waive payloadescape
-		m.chunk = p // element payload decoded by GFChunkInto, straight into the matrix
-		return nil
-	case wire.TypeShutdown:
-		m.Kind = KindShutdown
-	case wire.TypePing:
-		m.Kind = KindPing
-	case wire.TypePong:
-		m.Kind = KindPong
+	case wire.TypeShutdown, wire.TypePing, wire.TypePong:
 	default:
 		return fmt.Errorf("rpc: unknown frame type %d", typ)
 	}
 	return p.Err()
+}
+
+//s2c2:noalloc
+func readWork[E elem](p *wire.Payload, wk *Work[E]) {
+	wk.Job = readBounded(p, 0, maxJobID)
+	wk.Iter = p.Int()
+	wk.Phase = p.Int()
+	wk.W = readBounded(p, 1, maxBatchWidth)
+	wk.X = wire.Elems(p, wk.X)
+	wk.Ranges = readRanges(p, wk.Ranges)
+}
+
+//s2c2:noalloc
+func readResult[E elem](p *wire.Payload, r *Result[E]) {
+	r.Job = readBounded(p, 0, maxJobID)
+	r.Iter = p.Int()
+	r.Phase = p.Int()
+	r.Worker = p.Int()
+	r.Partial = p.Uvarint() != 0
+	r.ComputeNanos = int64(p.Uvarint())
+	r.RowWidth = readBounded(p, 1, maxBatchWidth)
+	r.Ranges = readRanges(p, r.Ranges)
+	r.Values = wire.Elems(p, r.Values)
 }
 
 func (c *wireConn) close() error {
@@ -838,56 +393,39 @@ func (c *wireConn) close() error {
 	return c.closeErr
 }
 
-// maxBatchWidth bounds the per-row width a batch frame may declare. Real
-// rounds batch a handful of x-vectors (DRAM-bandwidth amortization stops
-// paying long before this); the bound exists so a corrupt or hostile
-// width is rejected at decode, before any consistency arithmetic uses it.
+// maxBatchWidth bounds the per-row width a frame may declare. Real rounds
+// batch a handful of x-vectors (DRAM-bandwidth amortization stops paying
+// long before this); the bound exists so a corrupt or hostile width is
+// rejected at decode, before any consistency arithmetic uses it.
 const maxBatchWidth = 4096
 
-// readBatchWidth decodes the width field of a batch frame. Batch frames
-// exist only for widths ≥ 2 (width-1 traffic uses the classic frames), so
-// anything else is malformed — rejected through the payload's sticky
-// error, like every other corrupt field.
-//
-//s2c2:noalloc
-func readBatchWidth(p *wire.Payload) int {
-	w := p.Int()
-	if w < 2 || w > maxBatchWidth {
-		p.Reject()
-		return 0
-	}
-	return w
-}
-
-// maxJobID bounds the job tag a TypeJob* frame may declare, rejecting
-// corrupt or hostile ids before any routing structure is consulted.
+// maxJobID bounds the job tag a frame may declare, rejecting corrupt or
+// hostile ids before any routing structure is consulted.
 const maxJobID = 1 << 30
 
-// readJobID decodes the job tag of a TypeJob* frame. Tagged frames exist
-// only for jobs ≥ 1 (the default job travels untagged), so anything else
-// is malformed.
+// readElem decodes an element kind field; anything but the two kinds is
+// malformed, rejected through the payload's sticky error like every other
+// corrupt field.
 //
 //s2c2:noalloc
-func readJobID(p *wire.Payload) int {
-	id := p.Int()
-	if id < 1 || id > maxJobID {
+func readElem(p *wire.Payload) wire.Elem {
+	k := wire.Elem(p.Uvarint())
+	if k != wire.ElemFloat64 && k != wire.ElemGF {
 		p.Reject()
-		return 0
 	}
-	return id
+	return k
 }
 
-// readJobWidth decodes the width field of a TypeJob* frame, which —
-// unlike the batch frames — is present at every width including 1.
+// readBounded decodes an int field that must lie in [lo, hi].
 //
 //s2c2:noalloc
-func readJobWidth(p *wire.Payload) int {
-	w := p.Int()
-	if w < 1 || w > maxBatchWidth {
+func readBounded(p *wire.Payload, lo, hi int) int {
+	v := p.Int()
+	if v < lo || v > hi {
 		p.Reject()
 		return 0
 	}
-	return w
+	return v
 }
 
 // writeRanges appends a count-prefixed list of [lo, hi) varint pairs.
@@ -920,163 +458,4 @@ func readRanges(p *wire.Payload, dst []coding.Range) []coding.Range {
 		dst[i].Hi = p.Int()
 	}
 	return dst
-}
-
-// ---------------------------------------------------------------------------
-// gob fallback transport
-
-// gobConn is the legacy envelope stream. Each message is one gob-encoded
-// Envelope; decode allocates per message (that is the fallback's cost).
-type gobConn struct {
-	c            net.Conn
-	enc          *gob.Encoder
-	dec          *gob.Decoder
-	writeTimeout time.Duration
-
-	mu        sync.Mutex
-	closeOnce sync.Once
-	closeErr  error
-}
-
-func newGobConn(c net.Conn, writeTimeout time.Duration) *gobConn {
-	return &gobConn{c: c, enc: gob.NewEncoder(c), dec: gob.NewDecoder(c), writeTimeout: writeTimeout}
-}
-
-func (c *gobConn) send(e *Envelope) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.c != nil && c.writeTimeout > 0 {
-		// The gob fallback ships partitions monolithically, so the
-		// deadline must scale with the payload or a multi-GiB partition
-		// on a slow link would fail where the pre-deadline code worked.
-		bytes := 0
-		switch {
-		case e.Partition != nil:
-			bytes = 8 * len(e.Partition.Data)
-		case e.Work != nil:
-			bytes = 8 * len(e.Work.X)
-		case e.Result != nil:
-			bytes = 8 * len(e.Result.Values)
-		case e.GFPartition != nil:
-			bytes = 4 * len(e.GFPartition.Data)
-		case e.GFWork != nil:
-			bytes = 4 * len(e.GFWork.X)
-		case e.GFResult != nil:
-			bytes = 4 * len(e.GFResult.Values)
-		}
-		d := writeDeadlineFor(c.writeTimeout, bytes)
-		c.c.SetWriteDeadline(time.Now().Add(d)) //nolint:errcheck
-	}
-	return c.enc.Encode(e)
-}
-
-func (c *gobConn) sendHello(h *Hello) error { return c.send(&Envelope{Kind: KindHello, Hello: h}) }
-func (c *gobConn) sendWork(w *Work) error   { return c.send(&Envelope{Kind: KindWork, Work: w}) }
-func (c *gobConn) sendResult(r *Result) error {
-	return c.send(&Envelope{Kind: KindResult, Result: r})
-}
-func (c *gobConn) sendShutdown() error { return c.send(&Envelope{Kind: KindShutdown}) }
-func (c *gobConn) sendPing() error     { return c.send(&Envelope{Kind: KindPing}) }
-func (c *gobConn) sendPong() error     { return c.send(&Envelope{Kind: KindPong}) }
-func (c *gobConn) sendPartition(p *Partition) error {
-	return c.send(&Envelope{Kind: KindPartition, Partition: p})
-}
-
-func (c *gobConn) sendGFWork(w *GFWork) error {
-	return c.send(&Envelope{Kind: KindGFWork, GFWork: w})
-}
-func (c *gobConn) sendGFResult(r *GFResult) error {
-	return c.send(&Envelope{Kind: KindGFResult, GFResult: r})
-}
-func (c *gobConn) sendGFPartition(p *GFPartition) error {
-	return c.send(&Envelope{Kind: KindGFPartition, GFPartition: p})
-}
-
-// The streamed-partition messages exist only on the wire transport; the
-// gob fallback ships partitions monolithically.
-func (c *gobConn) sendPartitionStart(*PartitionStart) error {
-	return fmt.Errorf("rpc: gob transport does not stream partitions")
-}
-func (c *gobConn) sendPartitionChunk(int, int, int, int, []float64) error {
-	return fmt.Errorf("rpc: gob transport does not stream partitions")
-}
-func (c *gobConn) sendPartitionAck(int, int) error {
-	return fmt.Errorf("rpc: gob transport does not stream partitions")
-}
-func (c *gobConn) sendGFPartitionStart(*PartitionStart) error {
-	return fmt.Errorf("rpc: gob transport does not stream partitions")
-}
-func (c *gobConn) sendGFPartitionChunk(int, int, int, int, []gf.Elem) error {
-	return fmt.Errorf("rpc: gob transport does not stream partitions")
-}
-
-func (c *gobConn) streamsPartitions() bool { return false }
-
-func (c *gobConn) recv(m *Msg) error {
-	var e Envelope
-	if err := c.dec.Decode(&e); err != nil {
-		return err
-	}
-	m.Kind = e.Kind
-	m.chunk = nil
-	switch e.Kind {
-	case KindHello:
-		if e.Hello == nil {
-			return fmt.Errorf("rpc: envelope missing hello payload")
-		}
-		m.Hello = *e.Hello
-	case KindPartition:
-		if e.Partition == nil {
-			return fmt.Errorf("rpc: envelope missing partition payload")
-		}
-		m.Partition = *e.Partition
-	case KindWork:
-		if e.Work == nil {
-			return fmt.Errorf("rpc: envelope missing work payload")
-		}
-		m.Work = *e.Work
-		// gob omits zero fields, so a single-x peer's Work decodes with
-		// W == 0; normalize to the single-x width like the wire transport.
-		if m.Work.W < 1 {
-			m.Work.W = 1
-		}
-	case KindResult:
-		if e.Result == nil {
-			return fmt.Errorf("rpc: envelope missing result payload")
-		}
-		m.Result = *e.Result
-		if m.Result.RowWidth < 1 {
-			m.Result.RowWidth = 1
-		}
-	case KindGFPartition:
-		if e.GFPartition == nil {
-			return fmt.Errorf("rpc: envelope missing GF partition payload")
-		}
-		m.GFPartition = *e.GFPartition
-	case KindGFWork:
-		if e.GFWork == nil {
-			return fmt.Errorf("rpc: envelope missing GF work payload")
-		}
-		m.GFWork = *e.GFWork
-		if m.GFWork.W < 1 {
-			m.GFWork.W = 1
-		}
-	case KindGFResult:
-		if e.GFResult == nil {
-			return fmt.Errorf("rpc: envelope missing GF result payload")
-		}
-		m.GFResult = *e.GFResult
-		if m.GFResult.RowWidth < 1 {
-			m.GFResult.RowWidth = 1
-		}
-	case KindShutdown, KindPing, KindPong:
-	default:
-		return fmt.Errorf("rpc: envelope missing kind")
-	}
-	return nil
-}
-
-func (c *gobConn) close() error {
-	c.closeOnce.Do(func() { c.closeErr = c.c.Close() })
-	return c.closeErr
 }

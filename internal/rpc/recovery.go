@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"github.com/coded-computing/s2c2/internal/coding"
-	"github.com/coded-computing/s2c2/internal/gf"
+	"github.com/coded-computing/s2c2/internal/wire"
 )
 
 // This file is the elastic-membership and failure-recovery layer: the
@@ -127,9 +127,9 @@ func collectPartitionErrors(err error, out map[int]*PartitionError) {
 // retryPartitions drives the distribute-path retry engine: it extracts
 // the failed workers from err's *PartitionError attributions and retries
 // only their partitions under bounded exponential backoff, drawing a warm
-// spare into any slot whose connection died (the replacement is first
-// caught up on every previously retained phase). Attribution is preserved
-// through the loop: whatever still fails after the last attempt is
+// spare into any slot whose connection died (replaceWorker first catches
+// the replacement up on every previously retained phase). Attribution is
+// preserved through the loop: whatever still fails after the last attempt is
 // returned as the surviving *PartitionErrors — wrapped, never flattened —
 // so callers and the partitionerr analyzer see the same per-worker
 // contract the first attempt has. The backoff sleeps watch ctx alongside
@@ -159,20 +159,15 @@ func (m *Master) retryPartitions(ctx context.Context, err error, ship func(w int
 			backoff = m.cfg.Retry.cap()
 		}
 		for w := range failed {
-			wc, replaced := m.replaceWorker(w)
-			if wc == nil {
+			wc, _, serr := m.replaceWorker(w)
+			if wc == nil && serr == nil {
 				continue // slot dead and no spare parked yet; next attempt
 			}
 			m.bumpTotals(1, 0, 0)
-			if replaced {
-				// A promoted spare holds nothing: catch it up on every
-				// phase retained so far before shipping the failed one.
-				if cerr := m.streamRetained(w, wc); cerr != nil {
-					failed[w] = &PartitionError{Worker: w, Err: cerr}
-					continue
-				}
+			if serr == nil {
+				serr = ship(w, wc, m.attemptTimeout())
 			}
-			if serr := ship(w, wc, m.attemptTimeout()); serr != nil {
+			if serr != nil {
 				failed[w] = &PartitionError{Worker: w, Err: serr}
 				continue
 			}
@@ -201,27 +196,36 @@ func (m *Master) retryPartitions(ctx context.Context, err error, ship func(w int
 
 // replaceWorker returns a live connection for worker slot w: the
 // incumbent when it is still alive (retry the same conn), else a warm
-// spare promoted into the slot — the corpse is silenced and closed, the
-// workers slice is swapped copy-on-write so conns() snapshots stay
-// immutable, and the spare's read loop starts attributing to the slot via
-// the atomic id swap. Returns nil when the slot is dead and no spare is
-// parked.
-func (m *Master) replaceWorker(w int) (wc *workerConn, replaced bool) {
+// spare promoted into the slot. The spare is first caught up on every
+// partition phase retained for the slot — before any round can see it, so
+// no round sends it work for a phase it does not hold yet (it would drop
+// the work, and the round would wait out its timers). Then the corpse is
+// silenced and closed, the workers slice is swapped copy-on-write so
+// conns() snapshots stay immutable, and the spare's read loop starts
+// attributing to the slot via the atomic id swap. Returns nil when the
+// slot is dead and no spare is parked, and the catch-up's error (the
+// spare closed) when the re-stream fails.
+func (m *Master) replaceWorker(w int) (wc *workerConn, replaced bool, err error) {
 	m.mu.Lock()
 	if w < 0 || w >= len(m.workers) {
 		m.mu.Unlock()
-		return nil, false
+		return nil, false, nil
 	}
 	cur := m.workers[w]
 	m.mu.Unlock()
 	select {
 	case <-cur.dead:
 	default:
-		return cur, false // incumbent alive: retry the same conn
+		return cur, false, nil // incumbent alive: retry the same conn
 	}
 	spare := m.popPending()
 	if spare == nil {
-		return nil, false
+		return nil, false, nil
+	}
+	if err := m.streamRetained(w, spare); err != nil {
+		spare.evicted.Store(true)
+		spare.t.close()
+		return nil, false, err
 	}
 	cur.evicted.Store(true) // already dead; silence any straggling report
 	cur.t.close()
@@ -229,7 +233,7 @@ func (m *Master) replaceWorker(w int) (wc *workerConn, replaced bool) {
 	if m.closing {
 		m.mu.Unlock()
 		spare.t.close()
-		return nil, false
+		return nil, false, nil
 	}
 	fresh := make([]*workerConn, len(m.workers))
 	copy(fresh, m.workers)
@@ -241,49 +245,41 @@ func (m *Master) replaceWorker(w int) (wc *workerConn, replaced bool) {
 	m.totals.ReplacementAdmits++
 	m.mu.Unlock()
 	spare.id.Store(int64(w))
-	return spare, true
+	return spare, true, nil
 }
 
 // streamRetained ships every retained partition phase's slot-w partition
 // to a (typically just-promoted) connection, so a replacement joins with
 // the same loaded state its predecessor had. Phases ship in ascending
-// order; the first failure aborts with that phase's attribution.
+// order, float64 before GF; the first failure aborts with that phase's
+// attribution.
 //
 //s2c2:partition-attrib
 func (m *Master) streamRetained(w int, wc *workerConn) error {
-	m.mu.Lock()
-	phases := make([]int, 0, len(m.parts))
-	for p := range m.parts {
-		phases = append(phases, p)
+	if err := streamRetainedSide(m, &m.f64, w, wc); err != nil {
+		return err
 	}
-	gfPhases := make([]int, 0, len(m.gfParts))
-	for p := range m.gfParts {
-		gfPhases = append(gfPhases, p)
+	return streamRetainedSide(m, &m.gf, w, wc)
+}
+
+//s2c2:partition-attrib
+func streamRetainedSide[E elem](m *Master, ms *masterSide[E], w int, wc *workerConn) error {
+	m.mu.Lock()
+	phases := make([]int, 0, len(ms.parts))
+	for p := range ms.parts {
+		phases = append(phases, p)
 	}
 	m.mu.Unlock()
 	sort.Ints(phases)
-	sort.Ints(gfPhases)
 	for _, p := range phases {
 		m.mu.Lock()
-		parts := m.parts[p]
+		parts := ms.parts[p]
 		m.mu.Unlock()
 		if w >= len(parts) {
 			continue
 		}
-		if err := m.shipPartition(wc, p, parts[w], m.attemptTimeout()); err != nil {
+		if err := streamPartition(m, wc, p, parts[w], m.attemptTimeout()); err != nil {
 			return &PartitionError{Worker: w, Err: fmt.Errorf("re-stream phase %d: %w", p, err)}
-		}
-		m.bumpTotals(0, 1, 0)
-	}
-	for _, p := range gfPhases {
-		m.mu.Lock()
-		parts := m.gfParts[p]
-		m.mu.Unlock()
-		if w >= len(parts) {
-			continue
-		}
-		if err := m.shipGFPartition(wc, p, parts[w], m.attemptTimeout()); err != nil {
-			return &PartitionError{Worker: w, Err: fmt.Errorf("re-stream GF phase %d: %w", p, err)}
 		}
 		m.bumpTotals(0, 1, 0)
 	}
@@ -301,14 +297,13 @@ func (m *Master) streamRetained(w int, wc *workerConn) error {
 func (m *Master) RepairWorkers() (int, error) {
 	repaired := 0
 	for _, w := range m.DeadWorkers() {
-		wc, replaced := m.replaceWorker(w)
-		if wc == nil || !replaced {
-			continue // no spare for this slot (or it revived); next call
-		}
-		if err := m.streamRetained(w, wc); err != nil {
+		_, replaced, err := m.replaceWorker(w)
+		if err != nil {
 			return repaired, err
 		}
-		repaired++
+		if replaced {
+			repaired++
+		}
 	}
 	return repaired, nil
 }
@@ -538,7 +533,7 @@ func (m *Master) heartbeatLoop() {
 				m.evictConn(wc, errLivenessLost)
 				continue
 			}
-			wc.t.sendPing() //nolint:errcheck // a dead conn surfaces via its read loop
+			wc.t.sendSignal(wire.TypePing) //nolint:errcheck // a dead conn surfaces via its read loop
 		}
 	}
 }
@@ -583,7 +578,7 @@ func (m *Master) noteRoundOutcome(c *roundCore, workers []*workerConn) {
 	}
 	m.mu.Unlock()
 	for _, wc := range toEvict {
-		wc.t.sendShutdown() //nolint:errcheck // best effort
+		wc.t.sendSignal(wire.TypeShutdown) //nolint:errcheck // best effort
 		m.evictConn(wc, errRoundFailures)
 		c.stats.Recovery.Evictions++
 	}
@@ -690,7 +685,7 @@ func (c *roundCore) planRepair() error {
 // more worker dead, so the loop runs at most n times.
 //
 //s2c2:noalloc-waive
-func (j *Job) repairRound(ws *roundWorkspace, workers []*workerConn, iter, phase int, x []float64, bw int) error {
+func repairRound[E elem](j *Job, ws *roundWorkspace[E], workers []*workerConn, iter, phase int, x []E) error {
 	for {
 		if ws.aliveWorkers() < ws.k {
 			return roundLostError(&ws.roundCore, iter, phase)
@@ -698,54 +693,7 @@ func (j *Job) repairRound(ws *roundWorkspace, workers []*workerConn, iter, phase
 		if err := ws.planRepair(); err != nil {
 			return err
 		}
-		failed := false
-		for w, ranges := range ws.extraRanges {
-			if len(ranges) == 0 {
-				continue
-			}
-			ws.workMsg = Work{Job: j.id, Iter: iter, Phase: phase, W: bw, X: x, Ranges: ranges}
-			if err := workers[w].t.sendWork(&ws.workMsg); err != nil {
-				ws.noteDead(w)
-				failed = true
-				continue
-			}
-			ws.markAssigned(w, ranges)
-			ws.stats.AssignedRows[w] += ws.extraRows[w]
-			ws.stats.Recovery.RecoveredRows += ws.extraRows[w]
-		}
-		if !failed {
-			return nil
-		}
-	}
-}
-
-// repairGFRound is repairRound for the exact path.
-//
-//s2c2:noalloc-waive
-func (j *Job) repairGFRound(ws *gfRoundWorkspace, workers []*workerConn, iter, phase int, x []gf.Elem, bw int) error {
-	for {
-		if ws.aliveWorkers() < ws.k {
-			return roundLostError(&ws.roundCore, iter, phase)
-		}
-		if err := ws.planRepair(); err != nil {
-			return err
-		}
-		failed := false
-		for w, ranges := range ws.extraRanges {
-			if len(ranges) == 0 {
-				continue
-			}
-			ws.workMsg = GFWork{Job: j.id, Iter: iter, Phase: phase, W: bw, X: x, Ranges: ranges}
-			if err := workers[w].t.sendGFWork(&ws.workMsg); err != nil {
-				ws.noteDead(w)
-				failed = true
-				continue
-			}
-			ws.markAssigned(w, ranges)
-			ws.stats.AssignedRows[w] += ws.extraRows[w]
-			ws.stats.Recovery.RecoveredRows += ws.extraRows[w]
-		}
-		if !failed {
+		if !sendExtras(j, ws, workers, iter, phase, x, &ws.stats.Recovery.RecoveredRows) {
 			return nil
 		}
 	}

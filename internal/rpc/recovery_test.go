@@ -4,7 +4,7 @@ package rpc
 // contracts: eager discard of dead parked spares, distribute-path retries
 // that re-stream only the lost worker's partition to a warm spare, rounds
 // that survive a worker dying mid-round by folding its rows back into the
-// plan (both transports, both element types, batched included), the
+// plan (both element types, batched included), the
 // EvictAfter round-failure policy with RepairWorkers promotion, and the
 // heartbeat liveness watch.
 
@@ -217,61 +217,6 @@ func TestDistributeGFRetryReStreamsToSpare(t *testing.T) {
 	}
 }
 
-// TestGobDistributeRetryAfterWorkerDeath covers the distribution half on
-// the gob fallback: the victim's process dies before distribution (its
-// connection is torn down), the monolithic send fails, and the retry
-// engine promotes a gob spare and re-sends. The partition is sized ~1 MiB
-// so the send cannot vanish into socket buffers.
-func TestGobDistributeRetryAfterWorkerDeath(t *testing.T) {
-	const n, k = 3, 2
-	m, handles := startHandleCluster(t, n, MasterConfig{
-		StallTimeout: 10 * time.Second,
-		Retry:        RetryConfig{MaxAttempts: 5, BaseBackoff: 5 * time.Millisecond, AttemptTimeout: 5 * time.Second},
-	}, func(i int) WorkerConfig { return WorkerConfig{UseGob: true} })
-	m.StartAdmissions()
-	addSpare(t, m, WorkerConfig{UseGob: true})
-	if err := handles[1].Close(); err != nil {
-		t.Fatal(err)
-	}
-	waitUntil(t, 5*time.Second, "master to notice the death", func() bool {
-		dead := m.DeadWorkers()
-		return len(dead) == 1 && dead[0] == 1
-	})
-	rng := rand.New(rand.NewSource(96))
-	a := mat.Rand(512, 512, rng) // 256-row × 512-col partitions ≈ 1 MiB each
-	code, err := coding.NewMDSCode(n, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc := code.Encode(a)
-	if err := m.DistributePartitions(0, enc); err != nil {
-		t.Fatalf("gob distribute did not recover via retry: %v", err)
-	}
-	if totals := m.RecoveryTotals(); totals.ReplacementAdmits != 1 {
-		t.Fatalf("ReplacementAdmits = %d, want 1: %+v", totals.ReplacementAdmits, totals)
-	}
-	x := make([]float64, 512)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	strat := &sched.GeneralS2C2{N: n, K: k, BlockRows: enc.BlockRows, Granularity: enc.BlockRows}
-	plan, err := strat.Plan([]float64{1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	partials, _, err := m.RunRound(0, 0, x, plan, k, 10.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := enc.DecodeMatVec(partials)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !mat.VecApproxEqual(got, mat.MatVec(a, x), 1e-8) {
-		t.Fatal("decode mismatch after gob re-stream to replacement")
-	}
-}
-
 // midRoundDeathCluster builds a 4-worker wire cluster whose worker 1 link
 // is severed by the proxy exactly after the distribute frames, so the
 // round's work frame (or the connection behind it) dies mid-round
@@ -430,57 +375,6 @@ func TestBatchRoundSurvivesWorkerDeathMidRound(t *testing.T) {
 	}
 }
 
-// TestGobRoundSurvivesWorkerDeath kills a slow gob worker mid-round via
-// its handle (the in-process stand-in for a process death) and requires
-// the round to complete with the death attributed and the decode exact.
-func TestGobRoundSurvivesWorkerDeath(t *testing.T) {
-	const n, k = 4, 2
-	// Every worker takes ~48ms per block (24 rows × 2ms), so the kill at
-	// 15ms lands while the whole round is still in flight.
-	m, handles := startHandleCluster(t, n, MasterConfig{StallTimeout: 10 * time.Second}, func(i int) WorkerConfig {
-		return WorkerConfig{UseGob: true, Slowdown: 1, PerRowDelay: 2 * time.Millisecond}
-	})
-	rng := rand.New(rand.NewSource(100))
-	rows, cols := 48, 6
-	data := randElems(rng, rows*cols)
-	code, err := coding.NewGFMDSCode(n, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc, err := code.Encode(rows, cols, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.DistributeGFPartitions(0, enc.Parts); err != nil {
-		t.Fatal(err)
-	}
-	x := randElems(rng, cols)
-	strat := &sched.GeneralS2C2{N: n, K: k, BlockRows: enc.BlockRows, Granularity: enc.BlockRows}
-	plan, err := strat.Plan([]float64{1, 1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	kill := time.AfterFunc(15*time.Millisecond, func() { handles[1].Close() }) //nolint:errcheck
-	defer kill.Stop()
-	partials, stats, err := m.RunGFRound(0, 0, x, plan, k, 10.0)
-	if err != nil {
-		t.Fatalf("gob round did not survive the worker death: %v", err)
-	}
-	if len(stats.Recovery.DeadWorkers) != 1 || stats.Recovery.DeadWorkers[0] != 1 {
-		t.Fatalf("Recovery.DeadWorkers = %v, want [1]", stats.Recovery.DeadWorkers)
-	}
-	got, err := enc.DecodeMatVec(partials)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := gfGroundTruth(rows, cols, data, x)
-	for r := range want {
-		if got[r] != want[r] {
-			t.Fatalf("row %d: decode %d != local %d after gob mid-round recovery", r, got[r], want[r])
-		}
-	}
-}
-
 // TestEvictAfterRoundFailuresAndRepair drives the round-failure eviction
 // policy end to end: a silent worker times out a round, EvictAfter=1
 // evicts it, and RepairWorkers promotes a spare that serves the next
@@ -589,7 +483,7 @@ func TestHeartbeatEvictsSilentConnection(t *testing.T) {
 	// its first frame (the first ping) and swallows the rest: it looks
 	// connected but never answers again.
 	addSpare(t, m, WorkerConfig{})
-	silentAddr := startFaultProxy(t, m.Addr(), &workerFault{stallAfterFrames: 1}, false)
+	silentAddr := startFaultProxy(t, m.Addr(), &workerFault{stallAfterFrames: 1})
 	sw, err := NewWorker(WorkerConfig{MasterAddr: silentAddr})
 	if err != nil {
 		t.Fatal(err)

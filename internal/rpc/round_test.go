@@ -288,7 +288,7 @@ func TestRunRoundReuseRound(t *testing.T) {
 
 // gatherFixture builds a synthetic full round of worker results against a
 // real encoding, bypassing the network.
-func gatherFixture(tb testing.TB) (*coding.EncodedMatrix, []*Result, []float64) {
+func gatherFixture(tb testing.TB) (*coding.EncodedMatrix, []*Result[float64], []float64) {
 	rng := rand.New(rand.NewSource(33))
 	a := mat.Rand(600, 20, rng)
 	code, err := coding.NewMDSCode(10, 8)
@@ -300,11 +300,11 @@ func gatherFixture(tb testing.TB) (*coding.EncodedMatrix, []*Result, []float64) 
 	for i := range x {
 		x[i] = rng.Float64()
 	}
-	var results []*Result
+	var results []*Result[float64]
 	for _, w := range []int{0, 1, 2, 3, 4, 5, 8, 9} {
 		p := enc.WorkerCompute(w, x, []coding.Range{{Lo: 0, Hi: enc.BlockRows}})
-		results = append(results, &Result{
-			Iter: 0, Phase: 0, Worker: w, Ranges: p.Ranges, Values: p.Values,
+		results = append(results, &Result[float64]{
+			Iter: 0, Phase: 0, Worker: w, RowWidth: 1, Ranges: p.Ranges, Values: p.Values,
 		})
 	}
 	return enc, results, mat.MatVec(a, x)
@@ -312,17 +312,17 @@ func gatherFixture(tb testing.TB) (*coding.EncodedMatrix, []*Result, []float64) 
 
 // TestGatherAndDecodeZeroAllocsSteadyState is the acceptance criterion:
 // a steady-state round's master-side gather bookkeeping plus the decode
-// must allocate nothing. (The gob receive path allocates per network
-// message by nature; this pins everything the master itself does.)
+// must allocate nothing.
 func TestGatherAndDecodeZeroAllocsSteadyState(t *testing.T) {
 	enc, results, want := gatherFixture(t)
-	m := &Master{cfg: MasterConfig{ReuseRound: true}}
+	m := newTestMaster(MasterConfig{ReuseRound: true})
 	n, k := 10, 8
 	decWS := enc.NewDecodeWorkspace()
 	dst := make([]float64, enc.OrigRows)
 	runRound := func() {
-		ws := &m.def.round
+		ws := &m.def.f64.round
 		ws.begin(n, enc.BlockRows, k, 1)
+		ws.retained = ws.retained[:0] // the fixture's results are not pooled
 		for _, r := range results {
 			if err := ws.addResult(r, time.Millisecond); err != nil {
 				t.Fatal(err)
@@ -331,10 +331,7 @@ func TestGatherAndDecodeZeroAllocsSteadyState(t *testing.T) {
 		if ws.needed != 0 {
 			t.Fatal("fixture round did not reach coverage")
 		}
-		partials, stats, err := m.finishRound(ws)
-		if err != nil {
-			t.Fatal(err)
-		}
+		partials, stats := ws.partials, &ws.stats
 		if stats.AssignedRows == nil {
 			t.Fatal("missing stats")
 		}
@@ -356,10 +353,10 @@ func TestGatherAndDecodeZeroAllocsSteadyState(t *testing.T) {
 // worker re-sending rows it already delivered must not advance coverage,
 // so the master can never hand the decoder a round it cannot decode.
 func TestGatherDeduplicatesCoverage(t *testing.T) {
-	m := &Master{cfg: MasterConfig{ReuseRound: true}}
-	ws := &m.def.round
+	m := newTestMaster(MasterConfig{ReuseRound: true})
+	ws := &m.def.f64.round
 	ws.begin(3, 4, 2, 1)
-	r := &Result{Worker: 0, Ranges: []coding.Range{{Lo: 0, Hi: 4}}, Values: []float64{1, 2, 3, 4}}
+	r := &Result[float64]{Worker: 0, RowWidth: 1, Ranges: []coding.Range{{Lo: 0, Hi: 4}}, Values: []float64{1, 2, 3, 4}}
 	if err := ws.addResult(r, time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +372,7 @@ func TestGatherDeduplicatesCoverage(t *testing.T) {
 		}
 	}
 	// A second distinct worker completes coverage at k=2.
-	r2 := &Result{Worker: 2, Ranges: []coding.Range{{Lo: 0, Hi: 4}}, Values: []float64{5, 6, 7, 8}}
+	r2 := &Result[float64]{Worker: 2, RowWidth: 1, Ranges: []coding.Range{{Lo: 0, Hi: 4}}, Values: []float64{5, 6, 7, 8}}
 	if err := ws.addResult(r2, 3*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +380,7 @@ func TestGatherDeduplicatesCoverage(t *testing.T) {
 		t.Fatalf("coverage incomplete after second worker: needed=%d", ws.needed)
 	}
 	// Malformed ranges are rejected, not indexed out of bounds.
-	bad := &Result{Worker: 1, Ranges: []coding.Range{{Lo: 2, Hi: 9}}, Values: make([]float64, 7)}
+	bad := &Result[float64]{Worker: 1, RowWidth: 1, Ranges: []coding.Range{{Lo: 2, Hi: 9}}, Values: make([]float64, 7)}
 	if err := ws.addResult(bad, time.Millisecond); err == nil {
 		t.Fatal("out-of-partition result range must be rejected")
 	}

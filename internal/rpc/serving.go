@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"github.com/coded-computing/s2c2/internal/gf"
 	"github.com/coded-computing/s2c2/internal/kernel"
 	"github.com/coded-computing/s2c2/internal/sched"
 )
@@ -12,19 +13,17 @@ import (
 // This file is the multi-job serving layer: one master holds any number
 // of jobs, each with its own encoded datasets (float64 and GF), round
 // workspaces, plan buffer, and result channels, all multiplexed over the
-// same worker connections. Job 0 — the built-in default job every
-// promoted Master method acts on — travels on the untagged legacy wire
-// frames, so a single-tenant master is byte-identical on the wire to the
-// pre-serving one. Rounds across jobs run concurrently: the per-worker
-// readLoops demux results by (job, iter, phase) to the owning job's
-// channels, so worker compute for one job overlaps master decode for
+// same worker connections. Job 0 is the built-in default job every
+// promoted Master method acts on. Rounds across jobs run concurrently:
+// the per-worker readLoops demux results by (job, iter, phase) to the
+// owning job's channels, so worker compute for one job overlaps master decode for
 // another. A wait queue in front of the round path (MaxConcurrentRounds,
 // PriorityPolicy) bounds that concurrency for co-tenancy.
 
 // jobPhaseBase is the floor of the wire-phase namespace handed to
-// non-default jobs. The default job's user phases pass through verbatim
-// (identity, preserving legacy traffic), so any user phase below this
-// bound can never collide with an allocated one.
+// non-default jobs. The default job's user phases pass through verbatim,
+// so any user phase below this bound can never collide with an allocated
+// one.
 const jobPhaseBase = 1 << 20
 
 // JobConfig configures one served job.
@@ -53,23 +52,35 @@ type Job struct {
 	cfg JobConfig
 
 	mu sync.Mutex
-	// blockRows/gfBlockRows record each distributed phase's partition
-	// rows, keyed by the job's own (user) phase numbers.
-	blockRows   map[int]int
-	gfBlockRows map[int]int
 	// phaseMap translates this job's user phases to master-wide wire
 	// phases (nil for the default job, whose mapping is identity).
 	phaseMap map[int]int
 
-	// results/gfResults/errs receive this job's demuxed traffic from the
-	// shared readLoops.
-	results   chan *Result
-	gfResults chan *GFResult
-	errs      chan error
+	f64 jobSide[float64]
+	gf  jobSide[gf.Elem]
+	// errs receives worker deaths from the shared readLoops.
+	errs chan error
 
-	round   roundWorkspace
-	gfRound gfRoundWorkspace
 	planBuf sched.PlanBuffer
+}
+
+// jobSide is a job's state for one element type.
+type jobSide[E elem] struct {
+	ms *masterSide[E]
+	// blockRows records each distributed phase's partition rows, keyed
+	// by the job's own (user) phases. Guarded by Job.mu.
+	blockRows map[int]int
+	// results receives this job's demuxed results from the readLoops.
+	results chan *Result[E]
+	round   roundWorkspace[E]
+}
+
+// initSide readies a job side. The channel capacity is deep enough that a
+// full cluster's round responses never block a readLoop in steady state.
+func initSide[E elem](js *jobSide[E], ms *masterSide[E]) {
+	js.ms = ms
+	js.blockRows = map[int]int{}
+	js.results = make(chan *Result[E], 1024)
 }
 
 // initJob readies a (possibly embedded) Job in place.
@@ -77,16 +88,11 @@ func initJob(j *Job, m *Master, id int, cfg JobConfig) {
 	j.m = m
 	j.id = id
 	j.cfg = cfg
-	j.blockRows = map[int]int{}
-	j.gfBlockRows = map[int]int{}
 	if id != 0 {
 		j.phaseMap = map[int]int{}
 	}
-	// Capacities match the pre-serving master's single channel set: deep
-	// enough that a full cluster's round responses never block a readLoop
-	// in steady state.
-	j.results = make(chan *Result, 1024)
-	j.gfResults = make(chan *GFResult, 1024)
+	initSide(&j.f64, &m.f64)
+	initSide(&j.gf, &m.gf)
 	j.errs = make(chan error, 16)
 }
 
@@ -137,16 +143,15 @@ func (j *Job) Close() {
 	j.mu.Unlock()
 	m.mu.Lock()
 	for _, wp := range wps {
-		delete(m.parts, wp)
-		delete(m.gfParts, wp)
+		delete(m.f64.parts, wp)
+		delete(m.gf.parts, wp)
 	}
 	m.mu.Unlock()
 }
 
 // wirePhase translates one of the job's user phases to the master-wide
 // wire phase that names the dataset on the workers. The default job is
-// identity — its traffic must stay byte-identical to a pre-serving
-// master's — while other jobs allocate from the shared namespace above
+// identity, while other jobs allocate from the shared namespace above
 // jobPhaseBase on first use.
 //
 //s2c2:noalloc
@@ -166,8 +171,8 @@ func (j *Job) wirePhase(phase int) int {
 
 // jobFor routes a result frame's job tag to the owning job, or nil when
 // the job is closed or was never opened (the frame is dropped). The
-// default job skips the registry lock: it always exists, and legacy
-// single-job traffic must not contend with OpenJob/Close.
+// default job skips the registry lock: it always exists, and single-job
+// traffic must not contend with OpenJob/Close.
 //
 //s2c2:noalloc
 func (m *Master) jobFor(id int) *Job {

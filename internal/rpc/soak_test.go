@@ -1,8 +1,7 @@
 package rpc
 
 // soak_test.go is the chaos lifecycle soak: hundreds of mixed
-// float64/GF(2³¹−1), single/batched rounds over a mixed wire/gob cluster
-// while workers are killed (between rounds and mid-round), replaced via
+// float64/GF(2³¹−1), single/batched rounds over one cluster while workers are killed (between rounds and mid-round), replaced via
 // the admission pool, and re-streamed their slots' partitions. Every
 // completed round must decode bit-exactly against a local recompute, and
 // Shutdown must leave no goroutines behind. Gated behind -short so the
@@ -37,9 +36,8 @@ func TestChaosSoak(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(777))
 	wcfg := func(i int) WorkerConfig {
-		// Mixed transports, and enough per-row delay that mid-round kills
-		// actually land mid-round.
-		return WorkerConfig{UseGob: i%2 == 1, Slowdown: 1, PerRowDelay: 100 * time.Microsecond}
+		// Enough per-row delay that mid-round kills actually land mid-round.
+		return WorkerConfig{Slowdown: 1, PerRowDelay: 100 * time.Microsecond}
 	}
 	m, err := NewMasterWithConfig(MasterConfig{
 		Addr:         "127.0.0.1:0",
@@ -231,7 +229,7 @@ func TestChaosSoak(t *testing.T) {
 			checkGF(r, x, 1, partials)
 		case 3: // GF, batched
 			xs := randElems(rng, batchW*cols)
-			partials, _, err := m.RunGFRoundBatch(r, 1, xs, batchW, plan, k, 10.0)
+			partials, _, err := m.def.RunGFRoundBatch(r, 1, xs, batchW, plan, k, 10.0)
 			if err != nil {
 				t.Fatalf("round %d (gf batch): %v", r, err)
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
@@ -12,114 +13,18 @@ import (
 	"time"
 
 	"github.com/coded-computing/s2c2/internal/coding"
+	"github.com/coded-computing/s2c2/internal/gf"
 	"github.com/coded-computing/s2c2/internal/mat"
 	"github.com/coded-computing/s2c2/internal/sched"
 	"github.com/coded-computing/s2c2/internal/wire"
 )
 
 // startClusterCfg is startCluster with explicit master and worker config
-// control (transport selection, streaming knobs, stall deadline) — a thin
-// wrapper over the shared testcluster harness.
+// control (streaming knobs, stall deadline) — a thin wrapper over the
+// shared testcluster harness.
 func startClusterCfg(t *testing.T, n int, mcfg MasterConfig, wcfg func(i int) WorkerConfig) *Master {
 	t.Helper()
 	return startTestCluster(t, n, clusterConfig{master: mcfg, worker: wcfg})
-}
-
-// runDeterministicRound runs one full-coverage (k = n) round on a fresh
-// cluster and returns the decoded product. With k = n every worker's
-// result enters the decode, so the output is independent of arrival order
-// — the property that makes transport comparisons bit-exact.
-func runDeterministicRound(t *testing.T, useGob bool, mcfg MasterConfig) []float64 {
-	t.Helper()
-	const n = 3
-	m := startClusterCfg(t, n, mcfg, func(i int) WorkerConfig {
-		return WorkerConfig{UseGob: useGob}
-	})
-	rng := rand.New(rand.NewSource(77))
-	a := mat.Rand(47, 6, rng)
-	x := make([]float64, 6)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	code, err := coding.NewMDSCode(n, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc := code.Encode(a)
-	if err := m.DistributePartitions(0, enc); err != nil {
-		t.Fatal(err)
-	}
-	strat := &sched.GeneralS2C2{N: n, K: n, BlockRows: enc.BlockRows, Granularity: enc.BlockRows}
-	plan, err := strat.Plan([]float64{1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	partials, _, err := m.RunRound(0, 0, x, plan, n, 10.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := enc.DecodeMatVec(partials)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return got
-}
-
-// TestGobWireDecodeBitIdentical is the transport-equivalence acceptance
-// criterion: the same round run over the gob fallback and over the wire
-// protocol must decode to bit-identical outputs (the wire format ships
-// raw IEEE-754 bits, so no value may change in transit).
-func TestGobWireDecodeBitIdentical(t *testing.T) {
-	gob := runDeterministicRound(t, true, MasterConfig{})
-	wireOut := runDeterministicRound(t, false, MasterConfig{})
-	if len(gob) != len(wireOut) {
-		t.Fatalf("length mismatch: gob %d, wire %d", len(gob), len(wireOut))
-	}
-	for i := range gob {
-		if gob[i] != wireOut[i] {
-			t.Fatalf("row %d: gob %v != wire %v", i, gob[i], wireOut[i])
-		}
-	}
-}
-
-// TestMixedTransportCluster runs one cluster where half the workers speak
-// the wire protocol and half the gob fallback: the handshake version byte
-// selects per connection, and rounds must decode correctly across both.
-func TestMixedTransportCluster(t *testing.T) {
-	n, k := 4, 3
-	m := startClusterCfg(t, n, MasterConfig{}, func(i int) WorkerConfig {
-		return WorkerConfig{UseGob: i%2 == 0, PerRowDelay: 50 * time.Microsecond}
-	})
-	rng := rand.New(rand.NewSource(78))
-	a := mat.Rand(36, 5, rng)
-	x := make([]float64, 5)
-	for i := range x {
-		x[i] = rng.Float64()
-	}
-	code, _ := coding.NewMDSCode(n, k)
-	enc := code.Encode(a)
-	if err := m.DistributePartitions(0, enc); err != nil {
-		t.Fatal(err)
-	}
-	strat := &sched.GeneralS2C2{N: n, K: k, BlockRows: enc.BlockRows, Granularity: enc.BlockRows}
-	want := mat.MatVec(a, x)
-	for iter := 0; iter < 3; iter++ {
-		plan, err := strat.Plan([]float64{1, 1, 1, 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		partials, _, err := m.RunRound(iter, 0, x, plan, k, 10.0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := enc.DecodeMatVec(partials)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !mat.VecApproxEqual(got, want, 1e-8) {
-			t.Fatalf("iteration %d: mixed-transport decode mismatch", iter)
-		}
-	}
 }
 
 // TestChunkedDistributionTinyChunks forces many-chunk streams (one row
@@ -154,8 +59,10 @@ func TestChunkedDistributionTinyChunks(t *testing.T) {
 }
 
 // TestHandshakeVersionMismatch pins the handshake rejection path: clients
-// with the wrong magic or an unsupported version byte are turned away
-// without wedging the master, which keeps serving well-formed workers.
+// with the wrong magic or an unsupported version byte — including the
+// retired versions 0 (gob envelopes) and 1 (per-element frame types) —
+// are turned away without wedging the master, which keeps serving
+// well-formed workers.
 func TestHandshakeVersionMismatch(t *testing.T) {
 	m, err := NewMaster("127.0.0.1:0")
 	if err != nil {
@@ -163,14 +70,18 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 	}
 	t.Cleanup(m.Shutdown)
 
-	// Client 1: right magic, unknown version byte.
-	badVersion, err := net.Dial("tcp", m.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer badVersion.Close()
-	if _, err := badVersion.Write([]byte{'S', '2', 'C', '2', 99}); err != nil {
-		t.Fatal(err)
+	rejected := map[string]net.Conn{}
+	// Right magic, unsupported version byte.
+	for _, v := range []byte{0, 1, 99} {
+		c, err := net.Dial("tcp", m.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, err := c.Write([]byte{'S', '2', 'C', '2', v}); err != nil {
+			t.Fatal(err)
+		}
+		rejected[fmt.Sprintf("version %d", v)] = c
 	}
 	// Client 2: wrong magic entirely.
 	badMagic, err := net.Dial("tcp", m.Addr())
@@ -181,6 +92,7 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 	if _, err := badMagic.Write([]byte("GARBAGE!!")); err != nil {
 		t.Fatal(err)
 	}
+	rejected["bad magic"] = badMagic
 
 	// A real worker must still be admitted after both rejects.
 	go func() {
@@ -198,8 +110,8 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 		t.Fatalf("NumWorkers = %d, want 1 (rejected conns must not register)", got)
 	}
 
-	// Both rejected connections must have been closed by the master.
-	for name, c := range map[string]net.Conn{"bad version": badVersion, "bad magic": badMagic} {
+	// Every rejected connection must have been closed by the master.
+	for name, c := range rejected {
 		c.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
 		if _, err := c.Read(make([]byte, 1)); err == nil {
 			t.Fatalf("%s conn still open after reject", name)
@@ -349,29 +261,15 @@ func TestWorkerRejectsOutOfOrderChunks(t *testing.T) {
 	if typ, _, err := r.Next(); err != nil || typ != wire.TypeHello {
 		t.Fatalf("hello: %v %v", typ, err)
 	}
-	w := wire.NewWriter(c)
-	w.Begin(wire.TypePartitionStart)
-	w.Int(0) // phase
-	w.Int(1) // seq
-	w.Int(4) // rows
-	w.Int(1) // cols
-	w.Int(2) // chunk rows
-	if err := w.End(); err != nil {
+	mc := &wireConn{w: wire.NewWriter(c)}
+	if err := mc.sendPartitionStart(wire.ElemFloat64, &PartitionStart{Phase: 0, Seq: 1, Rows: 4, Cols: 1, ChunkRows: 2}); err != nil {
 		t.Fatal(err)
 	}
-	sendChunk := func(lo, hi int) {
-		w.Begin(wire.TypePartitionChunk)
-		w.Int(0) // phase
-		w.Int(1) // seq
-		w.Int(lo)
-		w.Int(hi)
-		w.Float64s(make([]float64, hi-lo))
-		if err := w.End(); err != nil {
+	for range 2 { // the duplicate would complete the row count without rows [2,4)
+		if err := sendChunk(mc, 0, 1, 0, 2, make([]float64, 2)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	sendChunk(0, 2)
-	sendChunk(0, 2) // duplicate: would complete the row count without rows [2,4)
 	select {
 	case err := <-done:
 		if err == nil || !strings.Contains(err.Error(), "out of order") {
@@ -428,6 +326,7 @@ func TestDistributePartitionsConnDropMidStream(t *testing.T) {
 			if typ != wire.TypePartitionChunk {
 				continue
 			}
+			p.Uvarint() // element kind
 			phase, seq := p.Int(), p.Int()
 			if acked >= 2 {
 				return // defer closes the conn mid-stream
@@ -541,6 +440,97 @@ func TestMasterStallTimeoutConfigurable(t *testing.T) {
 	}
 }
 
+// newTestMaster builds a listener-less master for the in-memory round
+// harness.
+func newTestMaster(cfg MasterConfig) *Master {
+	m := &Master{cfg: cfg, quit: make(chan struct{})}
+	m.f64.parts = map[int][]block[float64]{}
+	m.gf.parts = map[int][]block[gf.Elem]{}
+	initJob(&m.def, m, 0, JobConfig{})
+	m.jobs = map[int]*Job{0: &m.def}
+	m.wireSeq.Store(jobPhaseBase)
+	return m
+}
+
+// msgResult returns the receive slot's result field for element type E.
+func msgResult[E elem](msg *Msg) *Result[E] {
+	if r, ok := any(&msg.Result).(*Result[E]); ok {
+		return r
+	}
+	return any(&msg.GFResult).(*Result[E])
+}
+
+// encodeResults pre-encodes a round's result frames, as the workers would.
+func encodeResults[E elem](tb testing.TB, results []*Result[E]) []byte {
+	var stream bytes.Buffer
+	sender := &wireConn{w: wire.NewWriter(&stream)}
+	for _, r := range results {
+		if err := sendResult(sender, r); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return stream.Bytes()
+}
+
+// wireHarness is an in-memory master-side connection replaying one
+// pre-encoded stream of result frames per round.
+type wireHarness struct {
+	tc     *wireConn
+	src    *bytes.Reader
+	stream []byte
+	msg    Msg
+}
+
+func newWireHarness(stream []byte) *wireHarness {
+	h := &wireHarness{src: bytes.NewReader(stream), stream: stream}
+	h.tc = &wireConn{w: wire.NewWriter(io.Discard), r: wire.NewReader(h.src)}
+	return h
+}
+
+// steadyWireRound drives one round of job side js through the master's
+// per-round path: recycle and reset the workspace, send n work frames at
+// width w over assignment, then decode each of the harness's nResults
+// result frames into the receive slot, route it through jobFor and
+// forwardResult as the readLoop does, and gather it. It returns the
+// workspace-backed partials (the ReuseRound contract).
+func steadyWireRound[E elem](tb testing.TB, h *wireHarness, j *Job, js *jobSide[E], nResults, n, k, w int,
+	x []E, assignment []coding.Range) []*coding.PartialOf[E] {
+	m := j.m
+	ws := &js.round
+	ws.recycle(&js.ms.pool)
+	ws.begin(n, assignment[0].Hi, k, w)
+	for range n {
+		ws.workMsg = Work[E]{Job: j.id, Phase: j.wirePhase(0), W: w, X: x, Ranges: assignment}
+		if err := sendWork(h.tc, &ws.workMsg); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	h.src.Reset(h.stream)
+	h.tc.r.Reset(h.src)
+	for range nResults {
+		if err := h.tc.recv(&h.msg); err != nil {
+			tb.Fatal(err)
+		}
+		if h.msg.Type != wire.TypeResult || h.msg.Elem != wire.KindOf[E]() {
+			tb.Fatalf("frame type %d elem %d", h.msg.Type, h.msg.Elem)
+		}
+		res := msgResult[E](&h.msg)
+		if owner := m.jobFor(res.Job); owner != j {
+			tb.Fatalf("result for job %d routed elsewhere", j.id)
+		}
+		if !forwardResult(m, js, res, res.Worker) {
+			tb.Fatal("forward failed")
+		}
+		if err := ws.addResult(<-js.results, time.Millisecond); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if ws.needed != 0 {
+		tb.Fatal("fixture round did not reach coverage")
+	}
+	return ws.partials
+}
+
 // TestMasterWireRoundZeroAllocsSteadyState is the transport acceptance
 // criterion: a steady-state round on the master — sending the work
 // assignments, receiving every result frame through the wire transport,
@@ -553,65 +543,14 @@ func TestMasterWireRoundZeroAllocsSteadyState(t *testing.T) {
 		t.Skip("race detector drops sync.Pool items, forcing reallocation")
 	}
 	enc, results, want := gatherFixture(t)
-	n, k := 10, 8
-
-	// Pre-encode the round's result frames once, as the workers would.
-	var stream bytes.Buffer
-	sender := &wireConn{w: wire.NewWriter(&stream)}
-	for _, r := range results {
-		if err := sender.sendResult(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	src := bytes.NewReader(stream.Bytes())
-	tc := &wireConn{w: wire.NewWriter(io.Discard), r: wire.NewReader(src)}
-
-	m := &Master{cfg: MasterConfig{ReuseRound: true}}
+	h := newWireHarness(encodeResults(t, results))
+	m := newTestMaster(MasterConfig{ReuseRound: true})
 	decWS := enc.NewDecodeWorkspace()
 	dst := make([]float64, enc.OrigRows)
 	x := make([]float64, enc.Cols)
 	assignment := []coding.Range{{Lo: 0, Hi: enc.BlockRows}}
-	msg := &Msg{}
-
 	runRound := func() {
-		ws := &m.def.round
-		m.recycleRound(ws)
-		ws.begin(n, enc.BlockRows, k, 1)
-		// Send tasks: one work frame per active worker.
-		for w := 0; w < n; w++ {
-			ws.workMsg = Work{Iter: 0, Phase: 0, X: x, Ranges: assignment}
-			if err := tc.sendWork(&ws.workMsg); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// Receive results: decode each frame into a pooled slot (the
-		// readLoop's swap idiom) and gather.
-		src.Reset(stream.Bytes())
-		tc.r.Reset(src)
-		for range results {
-			if err := tc.recv(msg); err != nil {
-				t.Fatal(err)
-			}
-			if msg.Kind != KindResult {
-				t.Fatalf("kind %d", msg.Kind)
-			}
-			r := m.getResult()
-			*r, msg.Result = msg.Result, *r
-			if err := ws.addResult(r, time.Millisecond); err != nil {
-				t.Fatal(err)
-			}
-			ws.retained = append(ws.retained, r)
-		}
-		if ws.needed != 0 {
-			t.Fatal("fixture round did not reach coverage")
-		}
-		partials, stats, err := m.finishRound(ws)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.AssignedRows == nil {
-			t.Fatal("missing stats")
-		}
+		partials := steadyWireRound(t, h, &m.def, &m.def.f64, len(results), 10, 8, 1, x, assignment)
 		if _, err := enc.DecodeMatVecInto(dst, partials, decWS); err != nil {
 			t.Fatal(err)
 		}

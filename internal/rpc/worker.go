@@ -10,7 +10,6 @@ import (
 	"github.com/coded-computing/s2c2/internal/coding"
 	"github.com/coded-computing/s2c2/internal/gf"
 	"github.com/coded-computing/s2c2/internal/kernel"
-	"github.com/coded-computing/s2c2/internal/mat"
 	"github.com/coded-computing/s2c2/internal/wire"
 )
 
@@ -30,10 +29,6 @@ type WorkerConfig struct {
 	// on a single-core host); co-tenant workers in one process should cap
 	// MaxFan or bring their own pool.
 	Exec kernel.Exec
-	// UseGob selects the legacy gob envelope transport instead of the
-	// binary wire protocol — the compatibility fallback behind the
-	// handshake version byte.
-	UseGob bool
 	// MaxResultRows bounds one Result message's row count so result
 	// frames stay well under the receiver's frame limit no matter how
 	// large the partition is; larger results are split into several
@@ -47,19 +42,18 @@ type WorkerConfig struct {
 	WriteTimeout time.Duration
 }
 
-// partBuild is a streamed partition being assembled from chunks.
-type partBuild struct {
-	m         *mat.Dense
-	seq       int // transfer sequence, echoed in every chunk ack
-	remaining int // rows not yet received
+// block is one coded partition as the transport sees it: a row-major
+// rows×cols slab of elements.
+type block[E elem] struct {
+	rows, cols int
+	data       []E
 }
 
-// gfPartBuild is a streamed GF(2³¹−1) partition being assembled from
-// chunks — the exact-path mirror of partBuild.
-type gfPartBuild struct {
-	m         *gf.Matrix
-	seq       int
-	remaining int
+// partBuild is a streamed partition being assembled from chunks.
+type partBuild[E elem] struct {
+	block[E]
+	seq       int // transfer sequence, echoed in every chunk ack
+	remaining int // rows not yet received
 }
 
 // maxPartitionElems bounds the matrix a partition header may ask the
@@ -68,7 +62,7 @@ type gfPartBuild struct {
 // bounds arithmetic below) stays valid on 32-bit platforms, and clamped
 // at init so Rows·Cols — and its byte count — always fits the platform
 // int (on 386, 2³¹ elements exactly would pass an int64-only check and
-// then overflow mat.New's int multiplication).
+// then overflow the allocation's int multiplication).
 var maxPartitionElems = func() int64 {
 	const want = int64(1) << 31
 	if host := int64(math.MaxInt / 8); host < want {
@@ -77,10 +71,9 @@ var maxPartitionElems = func() int64 {
 	return want
 }()
 
-// validPartitionDims is the one shape guard both partition ingest paths
-// (monolithic and streamed) apply: non-negative rows, positive cols, and
-// a Rows·Cols product bounded by division so a hostile header cannot
-// overflow the check into passing.
+// validPartitionDims is the partition header's shape guard: non-negative
+// rows, positive cols, and a Rows·Cols product bounded by division so a
+// hostile header cannot overflow the check into passing.
 func validPartitionDims(rows, cols int) bool {
 	return rows >= 0 && cols > 0 && int64(rows) <= maxPartitionElems/int64(cols)
 }
@@ -89,23 +82,49 @@ func validPartitionDims(rows, cols int) bool {
 // and executes assigned row ranges on demand.
 type Worker struct {
 	cfg WorkerConfig
-	c   transport
+	c   *wireConn
 
-	mu           sync.Mutex
-	partitions   map[int]*mat.Dense   // phase → coded partition
-	pending      map[int]*partBuild   // phase → partition mid-stream
-	gfPartitions map[int]*gf.Matrix   // phase → coded GF partition (exact path)
-	gfPending    map[int]*gfPartBuild // phase → GF partition mid-stream
-
-	workPool   sync.Pool // *Work slots for concurrent handlers
-	resPool    sync.Pool // *Result send slots
-	gfWorkPool sync.Pool // *GFWork slots
-	gfResPool  sync.Pool // *GFResult send slots
+	mu  sync.Mutex // guards both sides' partition maps
+	f64 workerSide[float64]
+	gf  workerSide[gf.Elem]
 }
 
-// NewWorker dials the master, performs the transport handshake (the
-// binary wire protocol by default, gob when cfg.UseGob is set), and sends
-// the hello.
+// workerSide is the worker's state for one element type.
+type workerSide[E elem] struct {
+	parts   map[int]*block[E]     // phase → coded partition
+	pending map[int]*partBuild[E] // phase → partition mid-stream
+
+	workPool sync.Pool // *Work slots for concurrent handlers
+	resPool  sync.Pool // *Result send slots
+
+	// matVec computes rows [lo, hi) of a rows×cols partition a against w
+	// x-vectors, row-major w-wide into y: one fused sweep serves every
+	// lane, and w = 1 runs the single-x kernel.
+	matVec func(y, a []E, cols int, xs []E, w, lo, hi int)
+	// valid reports whether streamed elements are canonical (nil: all
+	// values are).
+	valid func([]E) bool
+}
+
+func matVecF64(y, a []float64, cols int, xs []float64, w, lo, hi int) {
+	if w == 1 {
+		kernel.MatVecRange(y, a, cols, xs, lo, hi)
+		return
+	}
+	kernel.MatVecRangeBatch(y, a, cols, xs, w, lo, hi)
+}
+
+// matVecGF is matVecF64 over the field: the Mersenne-folded kernel, with
+// bit-exact results on every backend and banding.
+func matVecGF(y, a []gf.Elem, cols int, xs []gf.Elem, w, lo, hi int) {
+	if w == 1 {
+		kernel.GFMatVecMod31(gf.AsUint32s(y), gf.AsUint32s(a), cols, gf.AsUint32s(xs), lo, hi)
+		return
+	}
+	kernel.GFMatVecBatchMod31(gf.AsUint32s(y), gf.AsUint32s(a), cols, gf.AsUint32s(xs), w, lo, hi)
+}
+
+// NewWorker dials the master, performs the handshake, and sends the hello.
 func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Slowdown <= 0 {
 		cfg.Slowdown = 1
@@ -120,32 +139,27 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rpc: dial master: %w", err)
 	}
-	version := wire.VersionWire
-	if cfg.UseGob {
-		version = wire.VersionGob
-	}
-	if err := wire.WriteHandshake(nc, version); err != nil {
+	if err := wire.WriteHandshake(nc, wire.VersionWire); err != nil {
 		nc.Close()
 		return nil, err
 	}
-	t, err := newTransport(nc, version, cfg.WriteTimeout)
-	if err != nil {
-		nc.Close()
-		return nil, err
-	}
-	w := &Worker{
-		cfg:          cfg,
-		c:            t,
-		partitions:   map[int]*mat.Dense{},
-		pending:      map[int]*partBuild{},
-		gfPartitions: map[int]*gf.Matrix{},
-		gfPending:    map[int]*gfPartBuild{},
-	}
-	if err := t.sendHello(&Hello{Slowdown: cfg.Slowdown}); err != nil {
-		t.close()
+	w := newWorker(cfg, newWireConn(nc, cfg.WriteTimeout))
+	if err := w.c.sendHello(&Hello{Slowdown: cfg.Slowdown}); err != nil {
+		w.c.close()
 		return nil, err
 	}
 	return w, nil
+}
+
+// newWorker builds a worker speaking over c.
+func newWorker(cfg WorkerConfig, c *wireConn) *Worker {
+	return &Worker{
+		cfg: cfg,
+		c:   c,
+		f64: workerSide[float64]{parts: map[int]*block[float64]{}, pending: map[int]*partBuild[float64]{}, matVec: matVecF64},
+		gf: workerSide[gf.Elem]{parts: map[int]*block[gf.Elem]{}, pending: map[int]*partBuild[gf.Elem]{},
+			matVec: matVecGF, valid: gf.Valid},
+	}
 }
 
 // Close tears down the worker's connection immediately: a blocked Run
@@ -163,73 +177,50 @@ func (w *Worker) Run() error {
 		if err := w.c.recv(msg); err != nil {
 			return err
 		}
-		switch msg.Kind {
-		case KindPartition:
-			// Monolithic partition (gob fallback): the decoded data is a
-			// fresh allocation, adopted as the matrix storage directly.
-			p := &msg.Partition
-			if !validPartitionDims(p.Rows, p.Cols) || len(p.Data) != p.Rows*p.Cols {
-				return fmt.Errorf("rpc: partition %dx%d with %d values", p.Rows, p.Cols, len(p.Data))
+		var err error
+		gfElem := msg.Elem == wire.ElemGF
+		switch msg.Type {
+		case wire.TypePartitionStart:
+			if gfElem {
+				err = startPartition(w, &w.gf, &msg.PartStart)
+			} else {
+				err = startPartition(w, &w.f64, &msg.PartStart)
 			}
-			w.mu.Lock()
-			w.partitions[p.Phase] = mat.NewFromData(p.Rows, p.Cols, p.Data)
-			w.mu.Unlock()
-		case KindPartitionStart:
-			if err := w.startPartition(&msg.PartStart); err != nil {
-				return err
+		case wire.TypePartitionChunk:
+			if gfElem {
+				err = storeChunk(w, &w.gf, msg)
+			} else {
+				err = storeChunk(w, &w.f64, msg)
 			}
-		case KindPartitionChunk:
-			if err := w.storeChunk(msg); err != nil {
-				return err
-			}
-		case KindGFPartition:
-			// Monolithic GF partition (gob fallback): adopt the decoded
-			// element slice as the matrix storage directly.
-			p := &msg.GFPartition
-			if !validPartitionDims(p.Rows, p.Cols) || len(p.Data) != p.Rows*p.Cols {
-				return fmt.Errorf("rpc: GF partition %dx%d with %d values", p.Rows, p.Cols, len(p.Data))
-			}
-			if !gf.Valid(p.Data) {
-				return fmt.Errorf("rpc: GF partition %d carries non-canonical field elements", p.Phase)
-			}
-			w.mu.Lock()
-			w.gfPartitions[p.Phase] = gf.NewMatrixFromData(p.Rows, p.Cols, p.Data)
-			w.mu.Unlock()
-		case KindGFPartitionStart:
-			if err := w.startGFPartition(&msg.PartStart); err != nil {
-				return err
-			}
-		case KindGFPartitionChunk:
-			if err := w.storeGFChunk(msg); err != nil {
-				return err
-			}
-		case KindWork:
+		case wire.TypeWork:
 			// Hand the assignment to a concurrent handler by swapping the
 			// message's Work with a pooled slot: ownership of the decoded
 			// slices moves without copying, and the next recv reuses the
 			// slot's old capacity.
-			job := w.getWork()
-			*job, msg.Work = msg.Work, *job
-			go w.handleWork(job)
-		case KindGFWork:
-			job := w.getGFWork()
-			*job, msg.GFWork = msg.GFWork, *job
-			go w.handleGFWork(job)
-		case KindPing:
+			if gfElem {
+				job := getSlot[Work[gf.Elem]](&w.gf.workPool)
+				*job, msg.GFWork = msg.GFWork, *job
+				go handleWork(w, &w.gf, job)
+			} else {
+				job := getSlot[Work[float64]](&w.f64.workPool)
+				*job, msg.Work = msg.Work, *job
+				go handleWork(w, &w.f64, job)
+			}
+		case wire.TypePing:
 			// Heartbeat: answer immediately from the receive loop. Pong
 			// sends share the connection's write mutex with result sends,
 			// so a busy compute round delays the answer by at most one
 			// in-flight frame — size the master's miss budget accordingly.
-			if err := w.c.sendPong(); err != nil {
-				return err
-			}
-		case KindPong:
-			// Workers never solicit pongs; tolerate one anyway (a future
-			// symmetric heartbeat would send them).
-		case KindShutdown:
+			err = w.c.sendSignal(wire.TypePong)
+		case wire.TypePong:
+			// Workers never solicit pongs; tolerate one anyway.
+		case wire.TypeShutdown:
 			return nil
 		default:
-			return fmt.Errorf("rpc: worker got unexpected kind %d", msg.Kind)
+			return fmt.Errorf("rpc: worker got unexpected frame type %d", msg.Type)
+		}
+		if err != nil {
+			return err
 		}
 	}
 }
@@ -237,98 +228,40 @@ func (w *Worker) Run() error {
 // startPartition allocates the destination matrix of a streamed
 // partition. Chunks decode straight into it; the partition becomes
 // visible to work requests only once every row has arrived.
-func (w *Worker) startPartition(ps *PartitionStart) error {
+func startPartition[E elem](w *Worker, s *workerSide[E], ps *PartitionStart) error {
 	if !validPartitionDims(ps.Rows, ps.Cols) {
 		return fmt.Errorf("rpc: partition start %dx%d rejected", ps.Rows, ps.Cols)
 	}
-	b := &partBuild{m: mat.New(ps.Rows, ps.Cols), seq: ps.Seq, remaining: ps.Rows}
+	b := &partBuild[E]{block: block[E]{rows: ps.Rows, cols: ps.Cols, data: make([]E, ps.Rows*ps.Cols)},
+		seq: ps.Seq, remaining: ps.Rows}
 	w.mu.Lock()
-	// The master serializes transfers per connection (float64 and GF alike
+	// The master serializes transfers per connection (both element types
 	// share the per-conn transfer lock), so every build still pending when
 	// a new stream starts belongs to an abandoned transfer. Dropping them
 	// all bounds the memory pinned by aborted transfers to a single build.
-	clear(w.pending)
-	clear(w.gfPending)
+	clear(w.f64.pending)
+	clear(w.gf.pending)
 	if b.remaining == 0 {
-		w.partitions[ps.Phase] = b.m
+		s.parts[ps.Phase] = &b.block
 	} else {
-		w.pending[ps.Phase] = b
+		s.pending[ps.Phase] = b
 	}
 	w.mu.Unlock()
 	return nil
 }
 
-// startGFPartition allocates the destination matrix of a streamed GF
-// partition; chunks decode straight into it and the partition becomes
-// visible to GF work requests only once every row has arrived.
-func (w *Worker) startGFPartition(ps *PartitionStart) error {
-	if !validPartitionDims(ps.Rows, ps.Cols) {
-		return fmt.Errorf("rpc: GF partition start %dx%d rejected", ps.Rows, ps.Cols)
-	}
-	b := &gfPartBuild{m: gf.NewMatrix(ps.Rows, ps.Cols), seq: ps.Seq, remaining: ps.Rows}
-	w.mu.Lock()
-	clear(w.pending)
-	clear(w.gfPending)
-	if b.remaining == 0 {
-		w.gfPartitions[ps.Phase] = b.m
-	} else {
-		w.gfPending[ps.Phase] = b
-	}
-	w.mu.Unlock()
-	return nil
-}
-
-// storeGFChunk decodes one field-element row band straight into the GF
-// partition matrix and returns a credit to the master's streaming window.
-// It applies the same strict in-order contract as the float64 path, plus
-// a canonicality check: the worker's Mersenne-folded mat-vec bounds its
-// intermediate arithmetic on every element being < P, so non-canonical
-// lanes are a protocol error, not a silent wraparound later.
-func (w *Worker) storeGFChunk(msg *Msg) error {
+// storeChunk decodes one row band straight into the partition matrix and
+// returns a credit to the master's streaming window. The master streams
+// rows strictly in order, so the chunk must start exactly where the
+// previous one ended: without this, a duplicate or overlapping chunk could
+// drive remaining to zero and publish a partition whose uncovered rows
+// are silently zero — corrupt results instead of a protocol error. GF
+// chunks must also be canonical: the worker's Mersenne-folded mat-vec
+// bounds its intermediate arithmetic on every element being < P.
+func storeChunk[E elem](w *Worker, s *workerSide[E], msg *Msg) error {
 	pc := &msg.PartChunk
 	w.mu.Lock()
-	b := w.gfPending[pc.Phase]
-	w.mu.Unlock()
-	if b == nil {
-		return fmt.Errorf("rpc: GF chunk for phase %d with no partition in progress", pc.Phase)
-	}
-	if pc.Seq != b.seq {
-		return fmt.Errorf("rpc: GF chunk seq %d for phase %d, transfer in progress is seq %d", pc.Seq, pc.Phase, b.seq)
-	}
-	rows, cols := b.m.Dims()
-	if pc.Lo < 0 || pc.Hi > rows || pc.Lo >= pc.Hi {
-		return fmt.Errorf("rpc: GF chunk rows [%d,%d) outside partition [0,%d)", pc.Lo, pc.Hi, rows)
-	}
-	if got := rows - b.remaining; pc.Lo != got {
-		return fmt.Errorf("rpc: GF chunk rows [%d,%d) out of order, expected start %d", pc.Lo, pc.Hi, got)
-	}
-	dst := b.m.Data()[pc.Lo*cols : pc.Hi*cols]
-	if err := msg.GFChunkInto(dst); err != nil {
-		return err
-	}
-	if !gf.Valid(dst) {
-		return fmt.Errorf("rpc: GF chunk rows [%d,%d) carry non-canonical field elements", pc.Lo, pc.Hi)
-	}
-	b.remaining -= pc.Hi - pc.Lo
-	if err := w.c.sendPartitionAck(pc.Phase, b.seq); err != nil {
-		return err
-	}
-	if b.remaining <= 0 {
-		w.mu.Lock()
-		w.gfPartitions[pc.Phase] = b.m
-		delete(w.gfPending, pc.Phase)
-		w.mu.Unlock()
-	}
-	return nil
-}
-
-// storeChunk decodes one row band straight into the partition matrix
-// (the wire transport's zero-intermediate-copy path) and returns a credit
-// to the master's streaming window.
-func (w *Worker) storeChunk(msg *Msg) error {
-	pc := &msg.PartChunk
-	w.mu.Lock()
-	b := w.pending[pc.Phase]
+	b := s.pending[pc.Phase]
 	w.mu.Unlock()
 	if b == nil {
 		return fmt.Errorf("rpc: chunk for phase %d with no partition in progress", pc.Phase)
@@ -336,20 +269,18 @@ func (w *Worker) storeChunk(msg *Msg) error {
 	if pc.Seq != b.seq {
 		return fmt.Errorf("rpc: chunk seq %d for phase %d, transfer in progress is seq %d", pc.Seq, pc.Phase, b.seq)
 	}
-	rows, cols := b.m.Dims()
-	if pc.Lo < 0 || pc.Hi > rows || pc.Lo >= pc.Hi {
-		return fmt.Errorf("rpc: chunk rows [%d,%d) outside partition [0,%d)", pc.Lo, pc.Hi, rows)
+	if pc.Lo < 0 || pc.Hi > b.rows || pc.Lo >= pc.Hi {
+		return fmt.Errorf("rpc: chunk rows [%d,%d) outside partition [0,%d)", pc.Lo, pc.Hi, b.rows)
 	}
-	// The master streams rows strictly in order, so the chunk must start
-	// exactly where the previous one ended. Without this, a duplicate or
-	// overlapping chunk could drive `remaining` to zero and publish a
-	// partition whose uncovered rows are silently zero — corrupt results
-	// instead of a protocol error.
-	if got := rows - b.remaining; pc.Lo != got {
+	if got := b.rows - b.remaining; pc.Lo != got {
 		return fmt.Errorf("rpc: chunk rows [%d,%d) out of order, expected start %d", pc.Lo, pc.Hi, got)
 	}
-	if err := msg.ChunkInto(b.m.Data()[pc.Lo*cols : pc.Hi*cols]); err != nil {
+	dst := b.data[pc.Lo*b.cols : pc.Hi*b.cols]
+	if err := chunkInto(msg, dst); err != nil {
 		return err
+	}
+	if s.valid != nil && !s.valid(dst) {
+		return fmt.Errorf("rpc: chunk rows [%d,%d) carry non-canonical field elements", pc.Lo, pc.Hi)
 	}
 	b.remaining -= pc.Hi - pc.Lo
 	if err := w.c.sendPartitionAck(pc.Phase, b.seq); err != nil {
@@ -357,39 +288,23 @@ func (w *Worker) storeChunk(msg *Msg) error {
 	}
 	if b.remaining <= 0 {
 		w.mu.Lock()
-		w.partitions[pc.Phase] = b.m
-		delete(w.pending, pc.Phase)
+		s.parts[pc.Phase] = &b.block
+		delete(s.pending, pc.Phase)
 		w.mu.Unlock()
 	}
 	return nil
 }
 
-func (w *Worker) getWork() *Work {
-	if v := w.workPool.Get(); v != nil {
-		return v.(*Work)
+// getSlot returns a pooled message slot, minting one on a pool miss.
+//
+//s2c2:noalloc
+func getSlot[T any](p *sync.Pool) *T {
+	if v := p.Get(); v != nil {
+		return v.(*T)
 	}
-	return &Work{}
-}
-
-func (w *Worker) getResult() *Result {
-	if v := w.resPool.Get(); v != nil {
-		return v.(*Result)
-	}
-	return &Result{}
-}
-
-func (w *Worker) getGFWork() *GFWork {
-	if v := w.gfWorkPool.Get(); v != nil {
-		return v.(*GFWork)
-	}
-	return &GFWork{}
-}
-
-func (w *Worker) getGFResult() *GFResult {
-	if v := w.gfResPool.Get(); v != nil {
-		return v.(*GFResult)
-	}
-	return &GFResult{}
+	// Pool miss: mints the slot the pool will recycle from then on.
+	//s2c2:waive noalloc
+	return new(T)
 }
 
 // matVecChunk sizes row chunks for a width-w mat-vec sweep through the
@@ -403,50 +318,46 @@ func matVecChunk(cols, w int) int {
 // pooled result slot (handleWork runs concurrently, so per-goroutine
 // storage is borrowed, not owned) returned to the pool once the
 // synchronous send completes — the worker side of a steady-state round
-// allocates nothing either.
-func (w *Worker) handleWork(job *Work) {
-	defer w.workPool.Put(job)
+// allocates nothing either. A corrupt assignment — an x length that does
+// not match the partition, or a range outside its rows — is dropped: the
+// master times the worker out and reassigns.
+func handleWork[E elem](w *Worker, s *workerSide[E], job *Work[E]) {
+	defer s.workPool.Put(job)
 	w.mu.Lock()
-	part := w.partitions[job.Phase]
+	part := s.parts[job.Phase]
 	w.mu.Unlock()
 	if part == nil {
 		return // partition not yet delivered; master will time us out
 	}
-	cols := part.Cols()
 	bw := job.W
-	if bw < 1 {
-		bw = 1
-	}
-	if len(job.X) != bw*cols {
-		return // corrupt assignment; master will time us out and reassign
+	if bw < 1 || len(job.X) != bw*part.cols {
+		return
 	}
 	start := time.Now()
-	res := w.getResult()
+	res := getSlot[Result[E]](&s.resPool)
+	defer s.resPool.Put(res)
 	// Reset every scalar field: a pooled slot may carry Partial=true from
 	// a split send whose error path skipped the final flush.
-	res.Iter, res.Phase, res.Worker, res.Partial = job.Iter, job.Phase, 0, false
-	res.Job = job.Job // echo the job tag so the master routes the result
+	res.Job, res.Iter, res.Phase, res.Worker, res.Partial = job.Job, job.Iter, job.Phase, 0, false
 	res.RowWidth = bw
 	res.Ranges = coding.AppendNormalizeRanges(res.Ranges[:0], job.Ranges)
+	for _, r := range res.Ranges {
+		if r.Lo < 0 || r.Hi > part.rows {
+			return
+		}
+	}
 	total := coding.TotalRows(res.Ranges)
-	res.Values = kernel.Grow(res.Values, total*bw)
+	res.Values = kernel.GrowSlice(res.Values, total*bw)
 	at := 0
 	for _, r := range res.Ranges {
 		seg := res.Values[at : at+r.Len()*bw]
 		lo := r.Lo
 		// Band-split the assigned rows on the worker's configured pool;
 		// on a one-core host (or MaxFan 1) this degenerates to the plain
-		// serial sweep. Batched rounds run the fused multi-x kernel: one
-		// sweep of the band serves every lane.
-		if bw == 1 {
-			w.cfg.Exec.For(r.Len(), matVecChunk(cols, 1), func(clo, chi int) {
-				kernel.MatVecRange(seg[clo:chi], part.Data(), cols, job.X, lo+clo, lo+chi)
-			})
-		} else {
-			w.cfg.Exec.For(r.Len(), matVecChunk(cols, bw), func(clo, chi int) {
-				kernel.MatVecRangeBatch(seg[clo*bw:chi*bw], part.Data(), cols, job.X, bw, lo+clo, lo+chi)
-			})
-		}
+		// serial sweep.
+		w.cfg.Exec.For(r.Len(), matVecChunk(part.cols, bw), func(clo, chi int) {
+			s.matVec(seg[clo*bw:chi*bw], part.data, part.cols, job.X, bw, lo+clo, lo+chi)
+		})
 		at += r.Len() * bw
 	}
 	elapsed := time.Since(start)
@@ -458,73 +369,17 @@ func (w *Worker) handleWork(job *Work) {
 	if delay > 0 {
 		time.Sleep(delay)
 	}
-	w.sendResultBounded(res) //nolint:errcheck // conn errors surface in Run
-	w.resPool.Put(res)
+	sendResultBounded(w, s, res) //nolint:errcheck // conn errors surface in Run
 }
 
-// handleGFWork computes the assigned rows of this worker's GF partition —
-// the exact mirror of handleWork: Mersenne-folded mat-vec over the field
-// banded on the worker's pool, pooled result slots, bounded result frames.
-// Results are bit-exact field values; there is no backend- or banding-
-// dependent rounding on this path by construction.
-func (w *Worker) handleGFWork(job *GFWork) {
-	defer w.gfWorkPool.Put(job)
-	w.mu.Lock()
-	part := w.gfPartitions[job.Phase]
-	w.mu.Unlock()
-	if part == nil {
-		return // partition not yet delivered; master will time us out
-	}
-	_, cols := part.Dims()
-	bw := job.W
-	if bw < 1 {
-		bw = 1
-	}
-	if len(job.X) != bw*cols {
-		return // corrupt assignment; master will time us out and reassign
-	}
-	start := time.Now()
-	res := w.getGFResult()
-	res.Iter, res.Phase, res.Worker, res.Partial = job.Iter, job.Phase, 0, false
-	res.Job = job.Job // echo the job tag so the master routes the result
-	res.RowWidth = bw
-	res.Ranges = coding.AppendNormalizeRanges(res.Ranges[:0], job.Ranges)
-	total := coding.TotalRows(res.Ranges)
-	res.Values = kernel.GrowSlice(res.Values, total*bw)
-	at := 0
-	for _, r := range res.Ranges {
-		seg := res.Values[at : at+r.Len()*bw]
-		lo := r.Lo
-		if bw == 1 {
-			w.cfg.Exec.For(r.Len(), matVecChunk(cols, 1), func(clo, chi int) {
-				part.MulVecRangeInto(seg[clo:chi], job.X, lo+clo, lo+chi)
-			})
-		} else {
-			w.cfg.Exec.For(r.Len(), matVecChunk(cols, bw), func(clo, chi int) {
-				part.MulVecBatchRangeInto(seg[clo*bw:chi*bw], job.X, bw, lo+clo, lo+chi)
-			})
-		}
-		at += r.Len() * bw
-	}
-	elapsed := time.Since(start)
-	res.ComputeNanos = int64(elapsed)
-	delay := time.Duration(float64(elapsed)*(w.cfg.Slowdown-1) +
-		float64(w.cfg.PerRowDelay)*float64(total)*w.cfg.Slowdown)
-	if delay > 0 {
-		time.Sleep(delay)
-	}
-	w.sendGFResultBounded(res) //nolint:errcheck // conn errors surface in Run
-	w.gfResPool.Put(res)
-}
-
-// splitResultRanges is the one bounded-result segmentation algorithm
-// shared by both element types: it walks ranges in range-aligned segments
-// of at most maxRows rows, calling emit(seg, at, rows, last) per segment
-// — seg is the segment's range list (aliasing scratch), at the row offset
-// into the concatenated values, last whether this segment completes the
-// result (only that one clears the Partial flag; the master counts the
-// worker as responded on it). It stops on the first emit error and
-// returns the scratch slice for capacity reuse.
+// splitResultRanges is the bounded-result segmentation algorithm: it walks
+// ranges in range-aligned segments of at most maxRows rows, calling
+// emit(seg, at, rows, last) per segment — seg is the segment's range list
+// (aliasing scratch), at the row offset into the concatenated values, last
+// whether this segment completes the result (only that one clears the
+// Partial flag; the master counts the worker as responded on it). It stops
+// on the first emit error and returns the scratch slice for capacity
+// reuse.
 func splitResultRanges(ranges []coding.Range, total, maxRows int, scratch []coding.Range,
 	emit func(seg []coding.Range, at, rows int, last bool) error) ([]coding.Range, error) {
 	at, rows := 0, 0 // consumed offset into the values, rows in the open segment
@@ -577,61 +432,27 @@ func boundedRows(maxRows, width int) int {
 // of at most cfg.MaxResultRows values when necessary so result frames
 // never outgrow the receiver's frame limit. Segments of a batched result
 // carry whole rows — all RowWidth lanes of a row travel in one message.
-func (w *Worker) sendResultBounded(res *Result) error {
+func sendResultBounded[E elem](w *Worker, s *workerSide[E], res *Result[E]) error {
 	wd := res.RowWidth
-	if wd < 1 {
-		wd = 1
-	}
 	maxRows := boundedRows(w.cfg.MaxResultRows, wd)
 	total := coding.TotalRows(res.Ranges)
 	if total <= maxRows {
-		return w.c.sendResult(res)
+		return sendResult(w.c, res)
 	}
-	sub := w.getResult()
-	sub.Iter, sub.Phase, sub.Worker, sub.ComputeNanos = res.Iter, res.Phase, res.Worker, res.ComputeNanos
-	sub.Job = res.Job
-	sub.RowWidth = wd
+	sub := getSlot[Result[E]](&s.resPool)
+	sub.Job, sub.Iter, sub.Phase, sub.Worker = res.Job, res.Iter, res.Phase, res.Worker
+	sub.ComputeNanos, sub.RowWidth = res.ComputeNanos, wd
 	scratch, err := splitResultRanges(res.Ranges, total, maxRows, sub.Ranges[:0],
 		func(seg []coding.Range, at, rows int, last bool) error {
 			sub.Ranges = seg
 			sub.Partial = !last
 			sub.Values = res.Values[at*wd : (at+rows)*wd]
-			return w.c.sendResult(sub)
+			return sendResult(w.c, sub)
 		})
 	sub.Ranges = scratch
 	// sub.Values aliased segments of res.Values; detach before pooling so
 	// two pooled results can never share a backing array.
 	sub.Values = nil
-	w.resPool.Put(sub)
-	return err
-}
-
-// sendGFResultBounded is sendResultBounded for the exact path — the same
-// segmentation via splitResultRanges, emitting GF result frames.
-func (w *Worker) sendGFResultBounded(res *GFResult) error {
-	wd := res.RowWidth
-	if wd < 1 {
-		wd = 1
-	}
-	maxRows := boundedRows(w.cfg.MaxResultRows, wd)
-	total := coding.TotalRows(res.Ranges)
-	if total <= maxRows {
-		return w.c.sendGFResult(res)
-	}
-	sub := w.getGFResult()
-	sub.Iter, sub.Phase, sub.Worker, sub.ComputeNanos = res.Iter, res.Phase, res.Worker, res.ComputeNanos
-	sub.Job = res.Job
-	sub.RowWidth = wd
-	scratch, err := splitResultRanges(res.Ranges, total, maxRows, sub.Ranges[:0],
-		func(seg []coding.Range, at, rows int, last bool) error {
-			sub.Ranges = seg
-			sub.Partial = !last
-			sub.Values = res.Values[at*wd : (at+rows)*wd]
-			return w.c.sendGFResult(sub)
-		})
-	sub.Ranges = scratch
-	// sub.Values aliased segments of res.Values; detach before pooling.
-	sub.Values = nil
-	w.gfResPool.Put(sub)
+	s.resPool.Put(sub)
 	return err
 }

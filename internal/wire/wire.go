@@ -16,9 +16,9 @@
 // per-message cost is the copy into caller-owned storage (matrices, pooled
 // result slices) — there is no intermediate message object.
 //
-// Connections open with a 5-byte handshake — the 4-byte magic "S2C2"
-// followed by a version byte — letting one listener speak both this format
-// (VersionWire) and the legacy gob encoding (VersionGob) per connection.
+// Connections open with a 5-byte handshake: the 4-byte magic "S2C2"
+// followed by a version byte, which the accepting side checks against
+// VersionWire before reading any frame.
 package wire
 
 import (
@@ -27,17 +27,14 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"unsafe"
 )
 
-// Handshake versions. The version byte follows the 4-byte magic and
-// selects the message encoding for the rest of the connection.
-const (
-	// VersionGob selects the legacy encoding/gob envelope stream, kept as
-	// a compatibility fallback.
-	VersionGob byte = 0
-	// VersionWire selects this package's binary frame format.
-	VersionWire byte = 1
-)
+// VersionWire is the handshake version of this frame format. Version 2
+// carries the element kind, job id and width on every Work and Result
+// frame; versions 0 (gob envelopes) and 1 (per-element, per-width frame
+// types) are retired and rejected.
+const VersionWire byte = 2
 
 // magic opens every connection, before the version byte.
 var magic = [4]byte{'S', '2', 'C', '2'}
@@ -73,33 +70,45 @@ func ReadHandshake(r io.Reader) (byte, error) {
 // can never masquerade as a message.
 type Type byte
 
-// Frame types of the master↔worker protocol. The GF(2³¹−1) variants carry
-// uint32 field elements instead of float64 rows — the exact distributed
-// round path; acks are shared (a PartitionAck credits whichever transfer
-// its sequence number fences, float64 or GF).
+// Frame types of the master↔worker protocol. Work, Result and the
+// partition stream carry an element kind (float64 or GF(2³¹−1) field
+// elements); acks are shared (a PartitionAck credits whichever transfer
+// its sequence number fences).
 const (
-	TypeHello            Type = 1 + iota // worker → master: join
-	TypeWork                             // master → worker: row assignment
-	TypeResult                           // worker → master: computed rows
-	TypePartitionStart                   // master → worker: begin streamed partition
-	TypePartitionChunk                   // master → worker: one row band
-	TypePartitionAck                     // worker → master: chunk stored (credit return)
-	TypeShutdown                         // master → worker: exit
-	TypeGFWork                           // master → worker: field-element row assignment
-	TypeGFResult                         // worker → master: computed field-element rows
-	TypeGFPartitionStart                 // master → worker: begin streamed GF partition
-	TypeGFPartitionChunk                 // master → worker: one row band of field elements
-	TypeWorkBatch                        // master → worker: row assignment over w x-vectors
-	TypeResultBatch                      // worker → master: computed rows, w values per row
-	TypeGFWorkBatch                      // master → worker: field-element batch assignment
-	TypeGFResultBatch                    // worker → master: field-element rows, w values per row
-	TypePing                             // master → worker: liveness probe (empty body)
-	TypePong                             // worker → master: liveness answer (empty body)
-	TypeJobWork                          // master → worker: row assignment tagged with a job id
-	TypeJobResult                        // worker → master: computed rows for a tagged job
-	TypeJobGFWork                        // master → worker: field-element assignment for a tagged job
-	TypeJobGFResult                      // worker → master: field-element rows for a tagged job
+	TypeHello          Type = 1 + iota // worker → master: join
+	TypeWork                           // master → worker: row assignment over w x-vectors
+	TypeResult                         // worker → master: computed rows, w values per row
+	TypePartitionStart                 // master → worker: begin streamed partition
+	TypePartitionChunk                 // master → worker: one row band
+	TypePartitionAck                   // worker → master: chunk stored (credit return)
+	TypeShutdown                       // master → worker: exit
+	TypePing                           // master → worker: liveness probe (empty body)
+	TypePong                           // worker → master: liveness answer (empty body)
 )
+
+// Elem names the numeric type of a frame's bulk payload.
+type Elem byte
+
+// Element kinds. The zero value is invalid, like the zero Type.
+const (
+	ElemFloat64 Elem = 1 + iota // IEEE-754 float64
+	ElemGF                      // GF(2³¹−1) field element as uint32
+)
+
+// Number is the element constraint of the bulk payload helpers: 8-byte
+// elements travel as float64 bits, 4-byte ones as uint32 lanes.
+type Number interface{ ~float64 | ~uint32 }
+
+// KindOf reports the element kind E travels as.
+//
+//s2c2:noalloc
+func KindOf[E Number]() Elem {
+	var z E
+	if unsafe.Sizeof(z) == 8 {
+		return ElemFloat64
+	}
+	return ElemGF
+}
 
 // DefaultMaxFrame bounds accepted frame bodies. Partitions are streamed in
 // bounded chunks, so legitimate frames are far smaller; the limit exists to
@@ -171,11 +180,21 @@ func (w *Writer) Float64(v float64) {
 	binary.LittleEndian.PutUint64(w.buf[at:], math.Float64bits(v))
 }
 
-// Float64s appends a count-prefixed float64 payload as raw IEEE-754 bits.
+// PutElems appends a count-prefixed payload of raw element bits: float64
+// as IEEE-754 bits, uint32 lanes as they are, both little-endian.
 //
 //s2c2:noalloc
-func (w *Writer) Float64s(vs []float64) {
+func PutElems[E Number](w *Writer, vs []E) {
 	w.Uvarint(uint64(len(vs)))
+	if KindOf[E]() == ElemFloat64 {
+		w.putFloat64s(lanes[float64](vs))
+	} else {
+		w.putUint32s(lanes[uint32](vs))
+	}
+}
+
+//s2c2:noalloc
+func (w *Writer) putFloat64s(vs []float64) {
 	at := len(w.buf)
 	w.buf = growBytes(w.buf, at+8*len(vs))
 	for _, v := range vs {
@@ -184,17 +203,24 @@ func (w *Writer) Float64s(vs []float64) {
 	}
 }
 
-// Uint32s appends a count-prefixed uint32 payload (field-element rows).
-//
 //s2c2:noalloc
-func (w *Writer) Uint32s(vs []uint32) {
-	w.Uvarint(uint64(len(vs)))
+func (w *Writer) putUint32s(vs []uint32) {
 	at := len(w.buf)
 	w.buf = growBytes(w.buf, at+4*len(vs))
 	for _, v := range vs {
 		binary.LittleEndian.PutUint32(w.buf[at:], v)
 		at += 4
 	}
+}
+
+// lanes views vs as its underlying scalar type T without copying; callers
+// pick T by KindOf, so the element sizes (and representations) match. The
+// payload loops run over the view in plain (non-generic) functions, which
+// compile tighter than loops over a type parameter.
+//
+//s2c2:noalloc
+func lanes[T, E Number](vs []E) []T {
+	return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(vs))), len(vs))
 }
 
 // PendingBytes reports the size of the frame under construction (callers
@@ -361,33 +387,34 @@ func (p *Payload) Int() int {
 	return int(v)
 }
 
-// Float64s decodes a count-prefixed float64 payload, reusing dst's
-// capacity (the caller-owned buffer idiom: pass last round's slice back in
-// and steady state never reallocates). The count is validated against the
+// Elems decodes a count-prefixed element payload, reusing dst's capacity
+// (the caller-owned buffer idiom: pass last round's slice back in and
+// steady state never reallocates). The count is validated against the
 // remaining bytes by division — never by multiplication, which a hostile
 // count could overflow into passing — before anything is sized to it.
 //
 //s2c2:noalloc
-func (p *Payload) Float64s(dst []float64) []float64 {
+func Elems[E Number](p *Payload, dst []E) []E {
 	n := p.Int()
 	if p.err != nil {
 		return dst[:0]
 	}
-	if n > p.Remaining()/8 {
+	var z E
+	if n > p.Remaining()/int(unsafe.Sizeof(z)) {
 		p.err = ErrTruncated
 		return dst[:0]
 	}
 	dst = grow(dst, n)
-	p.float64sInto(dst)
+	elemsInto(p, dst)
 	return dst
 }
 
-// Float64sInto decodes a count-prefixed float64 payload directly into dst,
+// ElemsInto decodes a count-prefixed element payload directly into dst,
 // requiring the count to match len(dst) exactly — the zero-copy path for
 // writing a partition chunk straight into its matrix rows.
 //
 //s2c2:noalloc
-func (p *Payload) Float64sInto(dst []float64) error {
+func ElemsInto[E Number](p *Payload, dst []E) error {
 	n := p.Int()
 	if p.err != nil {
 		return p.err
@@ -396,14 +423,27 @@ func (p *Payload) Float64sInto(dst []float64) error {
 		p.err = ErrMalformed
 		return p.err
 	}
-	if n > p.Remaining()/8 {
+	var z E
+	if n > p.Remaining()/int(unsafe.Sizeof(z)) {
 		p.err = ErrTruncated
 		return p.err
 	}
-	p.float64sInto(dst)
+	elemsInto(p, dst)
 	return p.err
 }
 
+// elemsInto decodes len(dst) elements the caller has bounds-checked.
+//
+//s2c2:noalloc
+func elemsInto[E Number](p *Payload, dst []E) {
+	if KindOf[E]() == ElemFloat64 {
+		p.float64sInto(lanes[float64](dst))
+	} else {
+		p.uint32sInto(lanes[uint32](dst))
+	}
+}
+
+//s2c2:noalloc
 func (p *Payload) float64sInto(dst []float64) {
 	b := p.b[p.off:]
 	for i := range dst {
@@ -412,51 +452,13 @@ func (p *Payload) float64sInto(dst []float64) {
 	p.off += 8 * len(dst)
 }
 
-// Uint32sInto decodes a count-prefixed uint32 payload directly into dst,
-// requiring the count to match len(dst) exactly — the zero-copy path for
-// writing a GF partition chunk straight into its matrix rows.
-//
 //s2c2:noalloc
-func (p *Payload) Uint32sInto(dst []uint32) error {
-	n := p.Int()
-	if p.err != nil {
-		return p.err
-	}
-	if n != len(dst) {
-		p.err = ErrMalformed
-		return p.err
-	}
-	if n > p.Remaining()/4 {
-		p.err = ErrTruncated
-		return p.err
-	}
+func (p *Payload) uint32sInto(dst []uint32) {
 	b := p.b[p.off:]
 	for i := range dst {
 		dst[i] = binary.LittleEndian.Uint32(b[4*i:])
 	}
-	p.off += 4 * n
-	return p.err
-}
-
-// Uint32s decodes a count-prefixed uint32 payload, reusing dst's capacity.
-//
-//s2c2:noalloc
-func (p *Payload) Uint32s(dst []uint32) []uint32 {
-	n := p.Int()
-	if p.err != nil {
-		return dst[:0]
-	}
-	if n > p.Remaining()/4 {
-		p.err = ErrTruncated
-		return dst[:0]
-	}
-	dst = grow(dst, n)
-	b := p.b[p.off:]
-	for i := range dst {
-		dst[i] = binary.LittleEndian.Uint32(b[4*i:])
-	}
-	p.off += 4 * n
-	return dst
+	p.off += 4 * len(dst)
 }
 
 // growBytes returns s with length n, reallocating only when capacity is

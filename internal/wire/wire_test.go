@@ -19,8 +19,8 @@ func TestFrameRoundTrip(t *testing.T) {
 	w.Int(7)           // iter
 	w.Int(2)           // phase
 	w.Uvarint(1 << 40) // a large field (nanos-scale)
-	w.Float64s(floats)
-	w.Uint32s(words)
+	PutElems(w, floats)
+	PutElems(w, words)
 	if err := w.End(); err != nil {
 		t.Fatal(err)
 	}
@@ -46,13 +46,13 @@ func TestFrameRoundTrip(t *testing.T) {
 	if got := p.Uvarint(); got != 1<<40 {
 		t.Fatalf("large field = %d", got)
 	}
-	gotF := p.Float64s(nil)
+	gotF := Elems[float64](p, nil)
 	for i, v := range floats {
 		if b, gb := math.Float64bits(v), math.Float64bits(gotF[i]); b != gb {
 			t.Fatalf("float %d: bits %x != %x", i, gb, b)
 		}
 	}
-	gotU := p.Uint32s(nil)
+	gotU := Elems[uint32](p, nil)
 	for i, v := range words {
 		if gotU[i] != v {
 			t.Fatalf("uint32 %d: %d != %d", i, gotU[i], v)
@@ -87,7 +87,7 @@ func TestReaderRejectsOversizedFrame(t *testing.T) {
 	var net bytes.Buffer
 	w := NewWriter(&net)
 	w.Begin(TypeWork)
-	w.Float64s(make([]float64, 100))
+	PutElems(w, make([]float64, 100))
 	if err := w.End(); err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestReaderTruncatedStream(t *testing.T) {
 	var net bytes.Buffer
 	w := NewWriter(&net)
 	w.Begin(TypeWork)
-	w.Float64s([]float64{1, 2, 3, 4})
+	PutElems(w, []float64{1, 2, 3, 4})
 	if err := w.End(); err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestPayloadTruncatedFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := p.Float64s(nil)
+	got := Elems[float64](p, nil)
 	if len(got) != 0 {
 		t.Fatalf("decoded %d floats from a truncated payload", len(got))
 	}
@@ -161,7 +161,7 @@ func TestHostileCountDoesNotOverflowGuard(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := p.Float64s(nil); len(got) != 0 || p.Err() == nil {
+		if got := Elems[float64](p, nil); len(got) != 0 || p.Err() == nil {
 			t.Fatalf("count %d: decoded %d floats, err %v — hostile count slipped the guard", count, len(got), p.Err())
 		}
 	}
@@ -171,7 +171,7 @@ func TestFloat64sIntoCountMismatch(t *testing.T) {
 	var net bytes.Buffer
 	w := NewWriter(&net)
 	w.Begin(TypePartitionChunk)
-	w.Float64s([]float64{1, 2, 3})
+	PutElems(w, []float64{1, 2, 3})
 	if err := w.End(); err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestFloat64sIntoCountMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := make([]float64, 4) // expects 4, frame carries 3
-	if err := p.Float64sInto(dst); !errors.Is(err, ErrMalformed) {
+	if err := ElemsInto(p, dst); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("err = %v, want ErrMalformed", err)
 	}
 }
@@ -189,8 +189,8 @@ func TestFloat64sIntoCountMismatch(t *testing.T) {
 func TestUint32sIntoCountMismatch(t *testing.T) {
 	var net bytes.Buffer
 	w := NewWriter(&net)
-	w.Begin(TypeGFPartitionChunk)
-	w.Uint32s([]uint32{1, 2, 3})
+	w.Begin(TypePartitionChunk)
+	PutElems(w, []uint32{1, 2, 3})
 	if err := w.End(); err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestUint32sIntoCountMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := make([]uint32, 4) // expects 4, frame carries 3
-	if err := p.Uint32sInto(dst); !errors.Is(err, ErrMalformed) {
+	if err := ElemsInto(p, dst); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("err = %v, want ErrMalformed", err)
 	}
 	// Exact-count decode succeeds and lands the payload in place.
@@ -211,7 +211,7 @@ func TestUint32sIntoCountMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst3 := make([]uint32, 3)
-	if err := p2.Uint32sInto(dst3); err != nil {
+	if err := ElemsInto(p2, dst3); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range []uint32{1, 2, 3} {
@@ -222,7 +222,7 @@ func TestUint32sIntoCountMismatch(t *testing.T) {
 	// A declared count the body cannot hold is rejected by division, so a
 	// hostile count cannot overflow the guard.
 	var body []byte
-	body = append(body, byte(TypeGFPartitionChunk))
+	body = append(body, byte(TypePartitionChunk))
 	body = binary.AppendUvarint(body, 1<<61)
 	var hostile bytes.Buffer
 	hostile.Write(binary.AppendUvarint(nil, uint64(len(body))))
@@ -232,7 +232,7 @@ func TestUint32sIntoCountMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p3.Uint32sInto(make([]uint32, 2)); err == nil {
+	if err := ElemsInto(p3, make([]uint32, 2)); err == nil {
 		t.Fatal("hostile uint32 count decoded without error")
 	}
 }
@@ -266,7 +266,7 @@ func TestReaderZeroAllocSteadyState(t *testing.T) {
 	for f := 0; f < 4; f++ {
 		w.Begin(TypeResult)
 		w.Int(f)
-		w.Float64s(vals)
+		PutElems(w, vals)
 		if err := w.End(); err != nil {
 			t.Fatal(err)
 		}
@@ -286,7 +286,7 @@ func TestReaderZeroAllocSteadyState(t *testing.T) {
 			if got := p.Int(); got != f {
 				t.Fatalf("frame %d decoded as %d", f, got)
 			}
-			dst = p.Float64s(dst)
+			dst = Elems(p, dst)
 			if err := p.Err(); err != nil {
 				t.Fatal(err)
 			}
@@ -305,7 +305,7 @@ func TestWriterZeroAllocSteadyState(t *testing.T) {
 	round := func() {
 		w.Begin(TypeWork)
 		w.Int(3)
-		w.Float64s(vals)
+		PutElems(w, vals)
 		if err := w.End(); err != nil {
 			t.Fatal(err)
 		}
