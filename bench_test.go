@@ -236,6 +236,84 @@ func BenchmarkGFMDSDecodeExact(b *testing.B) {
 	}
 }
 
+// s2c2ServingPlan is the equal-speed GeneralS2C2 plan of the serving
+// shape: a (4,3) code over 2048 rows, so each of the four workers
+// computes a speed-sized share of every chunk and the decode walks many
+// short runs of rows, each covered by a different set of three workers.
+func s2c2ServingPlan(b *testing.B, blockRows int) *sched.Plan {
+	g := &sched.GeneralS2C2{N: 4, K: 3, BlockRows: blockRows}
+	plan, err := g.Plan([]float64{1, 1, 1, 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return plan
+}
+
+func BenchmarkMDSDecodeS2C2Batch(b *testing.B) {
+	// The float64 tenant of the serving benchmark: width-4 partials under
+	// S2C2 coverage, decoded with a reused workspace (0 allocs/op).
+	const rows, cols, width = 2048, 256, 4
+	rng := rand.New(rand.NewSource(10))
+	code, _ := coding.NewMDSCode(4, 3)
+	enc := code.Encode(mat.Rand(rows, cols, rng))
+	xs := make([]float64, width*cols)
+	for i := range xs {
+		xs[i] = rng.Float64()
+	}
+	plan := s2c2ServingPlan(b, enc.BlockRows)
+	var partials []*coding.Partial
+	for w, ranges := range plan.Assignments {
+		partials = append(partials, enc.WorkerComputeBatchInto(w, xs, width, ranges, nil))
+	}
+	ws := enc.NewDecodeWorkspace()
+	dst := make([]float64, rows*width)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := enc.DecodeMatVecInto(dst, partials, ws); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkGFMDSDecodeS2C2(b *testing.B) {
+	// The exact tenant of the serving benchmark: width-1 GF partials under
+	// S2C2 coverage, decoded with a reused workspace (0 allocs/op).
+	const rows, cols = 2048, 256
+	rng := rand.New(rand.NewSource(11))
+	data := make([]gf.Elem, rows*cols)
+	for i := range data {
+		data[i] = gf.New(rng.Uint64())
+	}
+	code, _ := coding.NewGFMDSCode(4, 3)
+	enc, err := code.Encode(rows, cols, data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := make([]gf.Elem, cols)
+	for i := range x {
+		x[i] = gf.New(rng.Uint64())
+	}
+	plan := s2c2ServingPlan(b, enc.BlockRows)
+	var partials []*coding.GFPartial
+	for w, ranges := range plan.Assignments {
+		p, err := enc.WorkerMatVec(w, x, ranges)
+		if err != nil {
+			b.Fatal(err)
+		}
+		partials = append(partials, p)
+	}
+	ws := enc.NewDecodeWorkspace()
+	dst := make([]gf.Elem, rows)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := enc.DecodeMatVecInto(dst, partials, ws); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkPolyEncodeHessian(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	a := mat.Rand(300, 120, rng)

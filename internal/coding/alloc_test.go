@@ -1,6 +1,7 @@
 package coding
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -30,21 +31,98 @@ func mdsDecodeFixture(t testing.TB) (*EncodedMatrix, []*Partial) {
 	return enc, partials
 }
 
-func TestDecodeMatVecIntoZeroAllocsSteadyState(t *testing.T) {
-	enc, partials := mdsDecodeFixture(t)
-	ws := enc.NewDecodeWorkspace()
-	dst := make([]float64, enc.OrigRows)
-	// Warm: first round builds the table and factors the decode set.
-	if _, err := enc.DecodeMatVecInto(dst, partials, ws); err != nil {
+// cyclicRanges is a multi-run S2C2-style coverage: the partition is cut
+// into chunks and chunk c goes to workers c, c+1, …, c+k−1 (mod n), so
+// consecutive chunks are decoded by different worker sets.
+func cyclicRanges(n, k, blockRows, chunks int) [][]Range {
+	out := make([][]Range, n)
+	for c := 0; c < chunks; c++ {
+		lo, hi := c*blockRows/chunks, (c+1)*blockRows/chunks
+		for i := 0; i < k; i++ {
+			w := (c + i) % n
+			out[w] = append(out[w], Range{lo, hi})
+		}
+	}
+	return out
+}
+
+// requireZeroAllocs warms decode once, then requires 0 allocs per call.
+func requireZeroAllocs(t *testing.T, decode func() error) {
+	t.Helper()
+	if err := decode(); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := enc.DecodeMatVecInto(dst, partials, ws); err != nil {
+		if err := decode(); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("DecodeMatVecInto allocates %v/op in steady state, want 0", allocs)
+		t.Fatalf("decode allocates %v/op in steady state, want 0", allocs)
+	}
+}
+
+func TestDecodeMatVecIntoZeroAllocsSteadyState(t *testing.T) {
+	t.Run("full-partitions-w1", func(t *testing.T) {
+		enc, partials := mdsDecodeFixture(t)
+		ws := enc.NewDecodeWorkspace()
+		dst := make([]float64, enc.OrigRows)
+		requireZeroAllocs(t, func() error {
+			_, err := enc.DecodeMatVecInto(dst, partials, ws)
+			return err
+		})
+	})
+	for _, width := range []int{1, 4} {
+		t.Run(fmt.Sprintf("s2c2-runs-w%d", width), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(44))
+			code, _ := NewMDSCode(4, 3)
+			enc := code.Encode(mat.Rand(600, 20, rng))
+			xs := randVec(width*20, rng)
+			var partials []*Partial
+			for w, ranges := range cyclicRanges(4, 3, enc.BlockRows, 16) {
+				partials = append(partials, enc.WorkerComputeBatchInto(w, xs, width, ranges, nil))
+			}
+			ws := enc.NewDecodeWorkspace()
+			dst := make([]float64, enc.OrigRows*width)
+			requireZeroAllocs(t, func() error {
+				_, err := enc.DecodeMatVecInto(dst, partials, ws)
+				return err
+			})
+			if len(ws.sets) != 4 {
+				t.Fatalf("coverage decoded through %d worker sets, want 4", len(ws.sets))
+			}
+		})
+	}
+}
+
+func TestGFDecodeMatVecIntoZeroAllocsSteadyState(t *testing.T) {
+	for _, width := range []int{1, 4} {
+		t.Run(fmt.Sprintf("s2c2-runs-w%d", width), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(45))
+			code, _ := NewGFMDSCode(4, 3)
+			enc, err := code.Encode(600, 20, randGFData(600*20, rng))
+			if err != nil {
+				t.Fatal(err)
+			}
+			xs := randGFData(width*20, rng)
+			var partials []*GFPartial
+			for w, ranges := range cyclicRanges(4, 3, enc.BlockRows, 16) {
+				p, err := enc.WorkerMatVecBatch(w, xs, width, ranges)
+				if err != nil {
+					t.Fatal(err)
+				}
+				partials = append(partials, p)
+			}
+			ws := enc.NewDecodeWorkspace()
+			dst := make([]gf.Elem, enc.OrigRows*width)
+			requireZeroAllocs(t, func() error {
+				_, err := enc.DecodeMatVecInto(dst, partials, ws)
+				return err
+			})
+			if len(ws.sets) != 4 {
+				t.Fatalf("coverage decoded through %d worker sets, want 4", len(ws.sets))
+			}
+		})
 	}
 }
 

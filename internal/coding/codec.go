@@ -17,6 +17,7 @@ import (
 	"fmt"
 
 	"github.com/coded-computing/s2c2/internal/gf"
+	"github.com/coded-computing/s2c2/internal/kernel"
 )
 
 // Range is a half-open row-index interval [Lo, Hi) within a partition.
@@ -108,16 +109,34 @@ func (p *PartialOf[E]) Width() int {
 	return p.RowWidth
 }
 
-// Validate checks internal consistency of the partial. It applies the
-// same checks rowTable.add runs when the partial enters a decode.
-func (p *PartialOf[E]) Validate(blockRows int) error {
-	return validatePartial(p.Worker, p.Ranges, len(p.Values), p.RowWidth, blockRows)
+// Validate checks internal consistency of the partial against a code of
+// n workers whose partitions have blockRows rows. It applies the same
+// checks rowTable.add runs when the partial enters a decode.
+func (p *PartialOf[E]) Validate(n, blockRows int) error {
+	return validatePartial(p.Worker, n, p.Ranges, len(p.Values), p.RowWidth, blockRows)
+}
+
+// checkWorker rejects a worker id outside [0, n), the rule every decoder
+// applies before it indexes per-worker state by id.
+func checkWorker(worker, n int) error {
+	if worker < 0 || worker >= n {
+		return fmt.Errorf("coding: result from worker %d outside [0,%d)", worker, n)
+	}
+	return nil
 }
 
 // validatePartial is the single validation rule shared by Partial.Validate
-// and rowTable.add: positive row width, in-bounds ranges, and a value
-// count matching rows × width.
-func validatePartial(worker int, ranges []Range, numValues, rowWidth, blockRows int) error {
+// and rowTable.add: a worker id in [0, n) plus validateShape.
+func validatePartial(worker, n int, ranges []Range, numValues, rowWidth, blockRows int) error {
+	if err := checkWorker(worker, n); err != nil {
+		return err
+	}
+	return validateShape(worker, ranges, numValues, rowWidth, blockRows)
+}
+
+// validateShape checks a partial's layout: positive row width, in-bounds
+// ranges, and a value count matching rows × width.
+func validateShape(worker int, ranges []Range, numValues, rowWidth, blockRows int) error {
 	if rowWidth <= 0 {
 		return fmt.Errorf("coding: partial from worker %d has RowWidth %d", worker, rowWidth)
 	}
@@ -136,35 +155,48 @@ func validatePartial(worker int, ranges []Range, numValues, rowWidth, blockRows 
 
 // rowTable indexes partial results row-by-row for a decode pass, generic
 // over the value element (float64 for the MDS/polynomial codecs, gf.Elem
-// for the exact-field codec — one implementation of the trickiest reuse
-// logic instead of two). offsets[w][r] is the offset into values[w] for
-// row r, or -1 when worker w did not compute row r.
+// for the exact-field codec). Per-worker state lives in slices indexed by
+// worker id, which validatePartial bounds to [0, n): offsets[w][r] is the
+// offset into values[w] for row r, or -1 when worker w did not compute
+// row r.
 //
 // A rowTable is reusable: reset clears it and add repopulates it,
-// retaining map entries and per-worker slices across decode rounds so a
-// steady-state rebuild performs no allocation once every recurring worker
-// has an entry.
+// retaining per-worker slices across decode rounds so a steady-state
+// rebuild performs no allocation once every recurring worker has appeared.
+//
+// Decoders walk the table run by run (nextRun): a run is a maximal stretch
+// of rows whose first k covering workers, in arrival order, form the same
+// set, so one decode system serves the whole run.
 type rowTable[T any] struct {
 	blockRows int
 	rowWidth  int
-	offsets   map[int][]int
-	values    map[int][]T
-	order     []int // workers in arrival order
+	offsets   [][]int // indexed by worker id
+	values    [][]T   // indexed by worker id
+	order     []int   // workers in arrival order
+	inSet     []bool  // indexed by worker id: member of set
+	set       []int   // the current run's worker set, ascending
+	rhs       []T     // the current run's gathered values (nextRun)
 }
 
-// reset prepares the table for a new decode round over partitions of
-// blockRows rows, keeping per-worker storage for reuse.
-func (t *rowTable[T]) reset(blockRows int) {
-	if t.offsets == nil {
-		// First round only; map entries are retained and reused after.
+// reset prepares the table for a new decode round of a code with n
+// workers over partitions of blockRows rows, keeping per-worker storage
+// for reuse.
+func (t *rowTable[T]) reset(n, blockRows int) {
+	clear(t.inSet)
+	if len(t.offsets) < n {
+		// Grows only the first round a workspace sees this code.
 		//s2c2:waive noalloc
-		t.offsets = make(map[int][]int, 8)
+		t.offsets = append(t.offsets, make([][]int, n-len(t.offsets))...)
 		//s2c2:waive noalloc
-		t.values = make(map[int][]T, 8)
+		t.values = append(t.values, make([][]T, n-len(t.values))...)
+		//s2c2:waive noalloc
+		t.inSet = make([]bool, n)
 	}
+	t.offsets, t.values, t.inSet = t.offsets[:n], t.values[:n], t.inSet[:n]
 	t.blockRows = blockRows
 	t.rowWidth = 0
 	t.order = t.order[:0]
+	t.set = t.set[:0]
 }
 
 // add registers one partial result: the given worker computed values for
@@ -175,7 +207,7 @@ func (t *rowTable[T]) reset(blockRows int) {
 // last registered offset wins, which is sound because every copy of a
 // (worker, row) value is the same deterministic kernel output.
 func (t *rowTable[T]) add(worker int, ranges []Range, values []T, rowWidth int) error {
-	if err := validatePartial(worker, ranges, len(values), rowWidth, t.blockRows); err != nil {
+	if err := validatePartial(worker, len(t.offsets), ranges, len(values), rowWidth, t.blockRows); err != nil {
 		return err
 	}
 	if t.rowWidth == 0 {
@@ -192,11 +224,7 @@ func (t *rowTable[T]) add(worker int, ranges []Range, values []T, rowWidth int) 
 		}
 	}
 	if !seen {
-		if cap(off) < t.blockRows {
-			//s2c2:waive noalloc — first round this worker appears, reused after
-			off = make([]int, t.blockRows)
-		}
-		off = off[:t.blockRows]
+		off = kernel.GrowSlice(off, t.blockRows)
 		for i := range off {
 			off[i] = -1
 		}
@@ -206,12 +234,10 @@ func (t *rowTable[T]) add(worker int, ranges []Range, values []T, rowWidth int) 
 		//s2c2:waive noalloc
 		t.order = append(t.order, worker)
 	}
-	vals := t.values[worker]
-	base := len(vals)
+	base := len(t.values[worker])
 	// Amortized: per-worker value storage retains capacity across rounds.
 	//s2c2:waive noalloc
-	vals = append(vals, values...)
-	t.values[worker] = vals
+	t.values[worker] = append(t.values[worker], values...)
 	at := base
 	for _, r := range ranges {
 		for row := r.Lo; row < r.Hi; row++ {
@@ -222,33 +248,108 @@ func (t *rowTable[T]) add(worker int, ranges []Range, values []T, rowWidth int) 
 	return nil
 }
 
-// appendWorkersForRow appends up to max workers (in arrival order) that
-// computed the given row onto dst, reusing its storage.
-func (t *rowTable[T]) appendWorkersForRow(dst []int, row, max int) []int {
-	dst = dst[:0]
+// runEnd starts a run at row: it records in t.set the first k workers
+// (in arrival order) that computed row, sorted so the set names its
+// decode system regardless of arrival order, and returns the end of the
+// run — the first later row, at most maxRows after row, whose first k
+// covering workers differ from that set. A row covered by fewer than k
+// workers is an ErrInsufficient error.
+func (t *rowTable[T]) runEnd(row, k, maxRows int) (int, error) {
+	for _, w := range t.set {
+		t.inSet[w] = false
+	}
+	t.set = t.set[:0]
 	for _, w := range t.order {
 		if t.offsets[w][row] >= 0 {
-			// Writes through dst's reused storage (bounded by k workers).
+			// Bounded by k workers; capacity is retained across runs.
 			//s2c2:waive noalloc
-			dst = append(dst, w)
-			if len(dst) == max {
+			t.set = append(t.set, w)
+			if len(t.set) == k {
 				break
 			}
 		}
 	}
-	return dst
+	if len(t.set) < k {
+		return 0, fmt.Errorf("%w: row %d covered by %d of %d workers", ErrInsufficient, row, len(t.set), k)
+	}
+	sortInts(t.set)
+	for _, w := range t.set {
+		t.inSet[w] = true
+	}
+	end := min(row+maxRows, t.blockRows)
+	for r := row + 1; r < end; r++ {
+		if !t.firstKInSet(r, k) {
+			return r, nil
+		}
+	}
+	return end, nil
 }
 
-// rowValue returns the rowWidth values worker w computed for row.
-func (t *rowTable[T]) rowValue(w, row int) []T {
-	off := t.offsets[w][row]
-	return t.values[w][off : off+t.rowWidth]
+// firstKInSet reports whether the first k workers (in arrival order) that
+// computed row are exactly the members of t.set.
+func (t *rowTable[T]) firstKInSet(row, k int) bool {
+	found := 0
+	for _, w := range t.order {
+		if t.offsets[w][row] < 0 {
+			continue
+		}
+		if !t.inSet[w] {
+			return false
+		}
+		if found++; found == k {
+			return true
+		}
+	}
+	return false
+}
+
+// maxRunLanes bounds the right-hand side of one run solve: a run of
+// same-worker-set rows is split so its block holds at most this many
+// lanes (rows × width) per coded block, keeping every k×lanes run
+// buffer of the decoders at a fixed size regardless of BlockRows.
+const maxRunLanes = 4096
+
+// nextRun finds the run starting at row (see runEnd; at most
+// maxRunLanes lanes) and gathers its right-hand side: a
+// k×((end−row)·rowWidth) row-major block whose row i holds worker
+// t.set[i]'s values for rows [row, end), rowWidth lanes per row. The
+// block is table storage, valid until the next call.
+func (t *rowTable[T]) nextRun(row, k int) (end int, rhs []T, err error) {
+	width := max(t.rowWidth, 1)
+	if end, err = t.runEnd(row, k, max(maxRunLanes/width, 1)); err != nil {
+		return 0, nil, err
+	}
+	gw := (end - row) * width
+	t.rhs = kernel.GrowSlice(t.rhs, k*gw)
+	for i, w := range t.set {
+		offs, vals, dst := t.offsets[w], t.values[w], t.rhs[i*gw:(i+1)*gw]
+		for r := row; r < end; {
+			// Copy each stretch of rows stored back to back in one go.
+			s := r + 1
+			for s < end && offs[s] == offs[s-1]+width {
+				s++
+			}
+			copy(dst[(r-row)*width:], vals[offs[r]:offs[r]+(s-r)*width])
+			r = s
+		}
+	}
+	return end, t.rhs[:k*gw], nil
+}
+
+// scatterRun copies a decoded run into out, the row-major decode of all k
+// coded blocks (block j's rows start at row j·blockRows, width lanes per
+// row): z is k×((hi−lo)·width) with block j's rows [lo, hi) in row j.
+func scatterRun[T any](out, z []T, k, blockRows, lo, width int) {
+	gw := len(z) / k
+	for j := 0; j < k; j++ {
+		copy(out[(j*blockRows+lo)*width:][:gw], z[j*gw:(j+1)*gw])
+	}
 }
 
 // buildPartials populates the table from float64 partials, the shared
 // entry point of the MDS and polynomial decode paths.
-func buildPartials(t *rowTable[float64], partials []*Partial, blockRows int) error {
-	t.reset(blockRows)
+func buildPartials(t *rowTable[float64], partials []*Partial, n, blockRows int) error {
+	t.reset(n, blockRows)
 	for _, p := range partials {
 		if err := t.add(p.Worker, p.Ranges, p.Values, p.RowWidth); err != nil {
 			return err

@@ -192,8 +192,8 @@ func (c *LagrangeCode) DecodeInto(dst [][]gf.Elem, results map[int][]gf.Elem, de
 	// Pick t results deterministically (ascending worker index).
 	ws.workers = ws.workers[:0]
 	for w := range results {
-		if w < 0 || w >= c.n {
-			return nil, fmt.Errorf("coding: result from unknown worker %d", w)
+		if err := checkWorker(w, c.n); err != nil {
+			return nil, err
 		}
 		ws.workers = append(ws.workers, w)
 	}
@@ -261,7 +261,7 @@ func CompleteGFShares(partials []*GFPartial, blockRows int) (map[int][]gf.Elem, 
 		if p.Width() != width {
 			return nil, fmt.Errorf("coding: mixed row widths %d and %d", width, p.Width())
 		}
-		if err := validatePartial(p.Worker, p.Ranges, len(p.Values), width, blockRows); err != nil {
+		if err := validateShape(p.Worker, p.Ranges, len(p.Values), width, blockRows); err != nil {
 			return nil, err
 		}
 		v := vecs[p.Worker]

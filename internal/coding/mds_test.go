@@ -231,15 +231,20 @@ func TestNormalizeRanges(t *testing.T) {
 
 func TestPartialValidate(t *testing.T) {
 	p := &Partial{Worker: 0, Ranges: []Range{{0, 3}}, RowWidth: 1, Values: []float64{1, 2}}
-	if err := p.Validate(10); err == nil {
+	if err := p.Validate(4, 10); err == nil {
 		t.Fatal("length mismatch should fail validation")
 	}
 	p.Values = []float64{1, 2, 3}
-	if err := p.Validate(10); err != nil {
+	if err := p.Validate(4, 10); err != nil {
 		t.Fatal(err)
 	}
+	p.Worker = 4
+	if err := p.Validate(4, 10); err == nil {
+		t.Fatal("out-of-range worker should fail validation")
+	}
+	p.Worker = 0
 	p.Ranges = []Range{{8, 12}}
-	if err := p.Validate(10); err == nil {
+	if err := p.Validate(4, 10); err == nil {
 		t.Fatal("out-of-bounds range should fail validation")
 	}
 }

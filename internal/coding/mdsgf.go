@@ -138,25 +138,17 @@ type gfInvSet struct {
 	inv     *gf.Matrix
 }
 
-// gfDecodeGroupLanes bounds the gather/apply scratch of the grouped
-// decode solve: a run of same-worker-set rows is split so one group's
-// right-hand-side block holds at most this many lanes (columns), keeping
-// ws.bm/ws.zm at k·gfDecodeGroupLanes elements regardless of BlockRows.
-const gfDecodeGroupLanes = 4096
-
 // GFDecodeWorkspace holds reusable decode state for one GFEncodedMatrix:
-// the per-worker row index (the shared generic rowTable), cached inverted
-// systems, and the grouped-solve scratch (bm gathers the right-hand-side
-// block of a same-worker-set row run, zm receives inv·bm, bmat is the
-// reused matrix view over bm). Not safe for concurrent decodes.
+// the per-worker row index (the shared generic rowTable, which also
+// gathers each run's right-hand-side block), cached inverted systems, and
+// the run-solve scratch (zm receives inv·block, bmat is the reused matrix
+// view over the gathered block). Not safe for concurrent decodes.
 type GFDecodeWorkspace struct {
-	table   rowTable[gf.Elem]
-	sets    []*gfInvSet
-	workers []int
-	next    []int
-	bm, zm  []gf.Elem
-	bmat    gf.Matrix
-	out     []gf.Elem
+	table rowTable[gf.Elem]
+	sets  []*gfInvSet
+	zm    []gf.Elem
+	bmat  gf.Matrix
+	out   []gf.Elem
 }
 
 // NewDecodeWorkspace returns an empty decode workspace for e.
@@ -164,12 +156,36 @@ type GFDecodeWorkspace struct {
 //
 //s2c2:noalloc-waive
 func (e *GFEncodedMatrix) NewDecodeWorkspace() *GFDecodeWorkspace {
-	k := e.Code.k
-	return &GFDecodeWorkspace{
-		workers: make([]int, 0, k),
-		next:    make([]int, 0, k),
-		out:     make([]gf.Elem, e.BlockRows*k),
+	return &GFDecodeWorkspace{out: make([]gf.Elem, e.BlockRows*e.Code.k)}
+}
+
+// setFor returns the inverted decode system for the worker set, reusing a
+// cached inverse when the set has been seen before. The cache-miss branch
+// inverts a fresh system — once per distinct worker set, never in a warm
+// round.
+//
+//s2c2:noalloc-waive
+func (ws *GFDecodeWorkspace) setFor(e *GFEncodedMatrix, workers []int) (*gfInvSet, error) {
+	for _, s := range ws.sets {
+		if sameWorkers(s.workers, workers) {
+			return s, nil
+		}
 	}
+	k := e.Code.k
+	sub := gf.NewMatrix(k, k)
+	for i, w := range workers {
+		copy(sub.Row(i), e.Code.gen.Row(w))
+	}
+	inv, invertible := gf.Invert(sub)
+	if !invertible {
+		return nil, fmt.Errorf("coding: GF decode set %v singular", workers)
+	}
+	s := &gfInvSet{workers: append([]int(nil), workers...), inv: inv}
+	if len(ws.sets) >= maxCachedSets {
+		ws.sets = ws.sets[:0]
+	}
+	ws.sets = append(ws.sets, s)
+	return s, nil
 }
 
 // DecodeMatVec reconstructs A·x exactly from partials covering every
@@ -196,105 +212,32 @@ func (e *GFEncodedMatrix) DecodeMatVecInto(dst []gf.Elem, partials []*GFPartial,
 		ws = e.NewDecodeWorkspace()
 	}
 	k := e.Code.k
-	// Index rows via the shared generic rowTable, reusing per-worker
-	// slices from previous rounds.
-	ws.table.reset(e.BlockRows)
+	ws.table.reset(e.Code.n, e.BlockRows)
 	for _, p := range partials {
 		if err := ws.table.add(p.Worker, p.Ranges, p.Values, p.Width()); err != nil {
 			return nil, err
 		}
 	}
-	width := ws.table.rowWidth
-	if width == 0 {
-		width = 1
-	}
+	width := max(ws.table.rowWidth, 1)
 	if dst != nil && len(dst) != e.OrigRows*width {
 		return nil, fmt.Errorf("coding: decode dst length %d want %d", len(dst), e.OrigRows*width)
 	}
-	if cap(ws.out) < e.BlockRows*k*width {
-		//s2c2:waive noalloc — capacity growth, first decode at this shape only
-		ws.out = make([]gf.Elem, e.BlockRows*k*width)
-	}
-	ws.out = ws.out[:e.BlockRows*k*width]
-	maxGroupRows := gfDecodeGroupLanes / width
-	if maxGroupRows < 1 {
-		maxGroupRows = 1
-	}
+	ws.out = kernel.GrowSlice(ws.out, e.BlockRows*k*width)
 	var cur *gfInvSet
 	for row := 0; row < e.BlockRows; {
-		ws.workers = ws.table.appendWorkersForRow(ws.workers, row, k)
-		if len(ws.workers) < k {
-			return nil, fmt.Errorf("%w: row %d covered by %d of %d workers", ErrInsufficient, row, len(ws.workers), k)
+		end, rhs, err := ws.table.nextRun(row, k)
+		if err != nil {
+			return nil, err
 		}
-		sortInts(ws.workers) // canonical order: cache key ignores arrival order
-		if cur == nil || !sameWorkers(cur.workers, ws.workers) {
-			cur = nil
-			for _, s := range ws.sets {
-				if sameWorkers(s.workers, ws.workers) {
-					cur = s
-					break
-				}
-			}
-			if cur == nil {
-				// Cache miss: invert a fresh decode system — once per
-				// distinct worker set, never in a warm round.
-				//s2c2:waive noalloc
-				sub := gf.NewMatrix(k, k)
-				for i, w := range ws.workers {
-					copy(sub.Row(i), e.Code.gen.Row(w))
-				}
-				inv, invertible := gf.Invert(sub)
-				if !invertible {
-					return nil, fmt.Errorf("coding: GF decode set %v singular", ws.workers)
-				}
-				//s2c2:waive noalloc — cache-miss continuation of the branch above
-				cur = &gfInvSet{workers: append([]int(nil), ws.workers...), inv: inv}
-				if len(ws.sets) >= maxCachedSets {
-					ws.sets = ws.sets[:0]
-				}
-				//s2c2:waive noalloc — bounded by maxCachedSets
-				ws.sets = append(ws.sets, cur)
+		if cur == nil || !sameWorkers(cur.workers, ws.table.set) {
+			if cur, err = ws.setFor(e, ws.table.set); err != nil {
+				return nil, err
 			}
 		}
-		// Extend the group: consecutive rows decoded by the same worker
-		// set share cur.inv, so they ride one mat-mul application instead
-		// of per-row per-lane mat-vec solves. In the common straggler
-		// pattern — each worker computing a contiguous row range — the
-		// whole block is a handful of runs.
-		end := row + 1
-		for end < e.BlockRows && end-row < maxGroupRows {
-			ws.next = ws.table.appendWorkersForRow(ws.next, end, k)
-			if len(ws.next) < k {
-				break // the next iteration reports the coverage error
-			}
-			sortInts(ws.next)
-			if !sameWorkers(ws.next, ws.workers) {
-				break
-			}
-			end++
-		}
-		gw := (end - row) * width // right-hand-side lanes in this group
-		if cap(ws.bm) < k*gw {
-			//s2c2:waive noalloc — capacity growth, first decode at this shape only
-			ws.bm = make([]gf.Elem, k*gw)
-			//s2c2:waive noalloc — grown alongside bm
-			ws.zm = make([]gf.Elem, k*gw)
-		}
-		bm, zm := ws.bm[:k*gw], ws.zm[:k*gw]
-		// Gather: bm row i holds worker ws.workers[i]'s values for rows
-		// [row, end), width lanes per row — contiguous in both tables.
-		for i, w := range ws.workers {
-			for g := 0; g < end-row; g++ {
-				copy(bm[i*gw+g*width:i*gw+(g+1)*width], ws.table.rowValue(w, row+g)[:width])
-			}
-		}
-		ws.bmat.Reshape(k, gw, bm)
-		cur.inv.MulRangeInto(zm, &ws.bmat, 0, k)
-		// Scatter: zm row j is exactly ws.out's contiguous run for coded
-		// row j, block rows [row, end).
-		for j := 0; j < k; j++ {
-			copy(ws.out[(j*e.BlockRows+row)*width:][:gw], zm[j*gw:(j+1)*gw])
-		}
+		ws.bmat.Reshape(k, len(rhs)/k, rhs)
+		ws.zm = kernel.GrowSlice(ws.zm, len(rhs))
+		cur.inv.MulRangeInto(ws.zm, &ws.bmat, 0, k)
+		scatterRun(ws.out, ws.zm, k, e.BlockRows, row, width)
 		row = end
 	}
 	if dst == nil {

@@ -118,7 +118,7 @@ func TestGFMDSPartialCoverageExact(t *testing.T) {
 // TestGFMDSBatchDecodeGrouped drives the grouped decode solve through
 // both of its boundary kinds: worker-set changes mid-block (short runs,
 // including single-row groups) and a uniform-set block whose lane count
-// forces the gfDecodeGroupLanes cap to split one run into several
+// forces the maxRunLanes cap to split one run into several
 // mat-mul applications. Every lane must decode bit-identical to the
 // scalar reference.
 func TestGFMDSBatchDecodeGrouped(t *testing.T) {
@@ -184,10 +184,10 @@ func TestGFMDSBatchDecodeGrouped(t *testing.T) {
 	})
 	t.Run("cap-split", func(t *testing.T) {
 		// One worker set covers the whole block at width 256: with
-		// BlockRows 32 the run holds 8192 lanes, above gfDecodeGroupLanes,
+		// BlockRows 32 the run holds 8192 lanes, above maxRunLanes,
 		// so the uniform run must split into multiple groups.
 		check(t, 3, 2, 64, 2, 256, func(br int) map[int][]Range {
-			if br*256 <= gfDecodeGroupLanes {
+			if br*256 <= maxRunLanes {
 				t.Fatalf("shape does not exceed the group cap: %d lanes", br*256)
 			}
 			return map[int][]Range{

@@ -163,15 +163,13 @@ type polyInvSet struct {
 type PolyDecodeWorkspace struct {
 	table   rowTable[float64]
 	sets    []*polyInvSet
-	workers []int
 	segs    []rowSegment
 	segInvs []*mat.Dense // per-segment inverse, resolved before the scatter
 }
 
 // NewDecodeWorkspace returns an empty decode workspace for e.
 func (e *EncodedBilinear) NewDecodeWorkspace() *PolyDecodeWorkspace {
-	ab := e.Code.a * e.Code.b
-	return &PolyDecodeWorkspace{workers: make([]int, 0, ab)}
+	return &PolyDecodeWorkspace{}
 }
 
 // Decode reconstructs H = Aᵀ·diag(d)·B (ColsA×ColsB) from worker partials.
@@ -190,7 +188,7 @@ func (e *EncodedBilinear) DecodeInto(dst *mat.Dense, partials []*Partial, ws *Po
 	if ws == nil {
 		ws = e.NewDecodeWorkspace()
 	}
-	if err := buildPartials(&ws.table, partials, e.BlockColsA); err != nil {
+	if err := buildPartials(&ws.table, partials, c.n, e.BlockColsA); err != nil {
 		return nil, err
 	}
 	if ws.table.rowWidth != 0 && ws.table.rowWidth != e.BlockColsB {
@@ -308,19 +306,15 @@ type rowSegment struct {
 	set    []int
 }
 
-// segmentRows groups the rows of the decode into per-worker-set segments,
-// writing them into ws.segs (storage reused across rounds).
+// segmentRows groups the rows of the decode into per-worker-set segments
+// (the table's runs), writing them into ws.segs (storage reused across
+// rounds).
 func (e *EncodedBilinear) segmentRows(ws *PolyDecodeWorkspace, ab int) error {
 	segs := ws.segs[:0]
-	for row := 0; row < e.BlockColsA; row++ {
-		ws.workers = ws.table.appendWorkersForRow(ws.workers, row, ab)
-		if len(ws.workers) < ab {
-			return fmt.Errorf("%w: row %d covered by %d of %d workers", ErrInsufficient, row, len(ws.workers), ab)
-		}
-		sortInts(ws.workers) // canonical order: cache key ignores arrival order
-		if n := len(segs); n > 0 && segs[n-1].hi == row && sameWorkers(segs[n-1].set, ws.workers) {
-			segs[n-1].hi = row + 1
-			continue
+	for row := 0; row < e.BlockColsA; {
+		end, err := ws.table.runEnd(row, ab, e.BlockColsA)
+		if err != nil {
+			return err
 		}
 		if len(segs) < cap(segs) {
 			segs = segs[:len(segs)+1]
@@ -328,8 +322,9 @@ func (e *EncodedBilinear) segmentRows(ws *PolyDecodeWorkspace, ab int) error {
 			segs = append(segs, rowSegment{})
 		}
 		s := &segs[len(segs)-1]
-		s.lo, s.hi = row, row+1
-		s.set = append(s.set[:0], ws.workers...)
+		s.lo, s.hi = row, end
+		s.set = append(s.set[:0], ws.table.set...)
+		row = end
 	}
 	ws.segs = segs
 	return nil

@@ -108,6 +108,49 @@ func (f *LU) SolveInto(x, b []float64) {
 	}
 }
 
+// SolveBlockInto solves A·X = B for m right-hand sides at once. B and X
+// are N×m row-major (row i at [i·m, (i+1)·m)); x must not alias b. Each
+// substitution step updates a whole row of X, so one pass over the
+// factors serves every column, and column c gets exactly the operations,
+// in the same order, that SolveInto applies to it alone. It performs no
+// allocation.
+//
+//s2c2:noalloc
+func (f *LU) SolveBlockInto(x, b []float64, m int) {
+	n := f.lu.rows
+	if len(b) != n*m || len(x) != n*m {
+		panic(fmt.Sprintf("mat: LU.SolveBlockInto lengths x=%d b=%d want %d", len(x), len(b), n*m))
+	}
+	for i, p := range f.piv {
+		copy(x[i*m:(i+1)*m], b[p*m:(p+1)*m])
+	}
+	// Forward substitution with unit-diagonal L.
+	for i := 1; i < n; i++ {
+		xi := x[i*m : (i+1)*m]
+		for j, v := range f.lu.data[i*n : i*n+i] {
+			xj := x[j*m:][:len(xi)]
+			for c := range xi {
+				xi[c] -= v * xj[c]
+			}
+		}
+	}
+	// Back substitution with U.
+	for i := n - 1; i >= 0; i-- {
+		row := f.lu.data[i*n : (i+1)*n]
+		xi := x[i*m : (i+1)*m]
+		for j := i + 1; j < n; j++ {
+			v, xj := row[j], x[j*m:][:len(xi)]
+			for c := range xi {
+				xi[c] -= v * xj[c]
+			}
+		}
+		d := row[i]
+		for c := range xi {
+			xi[c] /= d
+		}
+	}
+}
+
 // SolveMany solves A·X = B column-block-wise where each element of bs is an
 // independent right-hand side. It amortises the factorization.
 func (f *LU) SolveMany(bs [][]float64) [][]float64 {

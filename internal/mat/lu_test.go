@@ -98,3 +98,30 @@ func TestSolveMany(t *testing.T) {
 		}
 	}
 }
+
+func TestSolveBlockIntoMatchesSolveIntoPerColumn(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for _, n := range []int{1, 3, 7} {
+		a := Rand(n, n, rng)
+		f, err := FactorLU(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const m = 5
+		b := randVec(n*m, rng)
+		x := make([]float64, n*m)
+		f.SolveBlockInto(x, b, m)
+		col, xc := make([]float64, n), make([]float64, n)
+		for c := 0; c < m; c++ {
+			for i := range col {
+				col[i] = b[i*m+c]
+			}
+			f.SolveInto(xc, col)
+			for i := range xc {
+				if x[i*m+c] != xc[i] {
+					t.Fatalf("n=%d column %d row %d: block %v, single %v", n, c, i, x[i*m+c], xc[i])
+				}
+			}
+		}
+	}
+}

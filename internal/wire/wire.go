@@ -10,7 +10,9 @@
 //
 // where multi-byte integers are unsigned varints and numeric bulk payloads
 // are raw element bytes (float64 as IEEE-754 bits, field elements as
-// uint32, both little-endian) prefixed by an element count. A Writer owns
+// uint32, both little-endian) prefixed by an element count; on
+// little-endian hosts a bulk payload is encoded and decoded as one memory
+// copy, and only big-endian hosts convert element by element. A Writer owns
 // one scratch buffer reused across frames; a Reader owns one receive
 // buffer plus a Payload cursor that decodes fields in place, so the only
 // per-message cost is the copy into caller-owned storage (matrices, pooled
@@ -193,24 +195,58 @@ func PutElems[E Number](w *Writer, vs []E) {
 	}
 }
 
+// putFloat64s appends vs as little-endian IEEE-754 bits.
+//
 //s2c2:noalloc
 func (w *Writer) putFloat64s(vs []float64) {
 	at := len(w.buf)
 	w.buf = growBytes(w.buf, at+8*len(vs))
-	for _, v := range vs {
-		binary.LittleEndian.PutUint64(w.buf[at:], math.Float64bits(v))
-		at += 8
+	if hostLittleEndian {
+		copy(w.buf[at:], bytesOf(vs))
+		return
 	}
+	loopPutFloat64s(w.buf[at:], vs)
 }
 
+// putUint32s appends vs as little-endian uint32s.
+//
 //s2c2:noalloc
 func (w *Writer) putUint32s(vs []uint32) {
 	at := len(w.buf)
 	w.buf = growBytes(w.buf, at+4*len(vs))
-	for _, v := range vs {
-		binary.LittleEndian.PutUint32(w.buf[at:], v)
-		at += 4
+	if hostLittleEndian {
+		copy(w.buf[at:], bytesOf(vs))
+		return
 	}
+	loopPutUint32s(w.buf[at:], vs)
+}
+
+// loopPutFloat64s encodes vs into b one element at a time: the payload
+// encoder of big-endian hosts.
+//
+//s2c2:noalloc
+func loopPutFloat64s(b []byte, vs []float64) {
+	for i, v := range vs {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
+	}
+}
+
+// loopPutUint32s is loopPutFloat64s for uint32 lanes.
+//
+//s2c2:noalloc
+func loopPutUint32s(b []byte, vs []uint32) {
+	for i, v := range vs {
+		binary.LittleEndian.PutUint32(b[4*i:], v)
+	}
+}
+
+// bytesOf views vs as its raw memory, without copying. On little-endian
+// hosts those bytes are exactly the wire encoding.
+//
+//s2c2:noalloc
+func bytesOf[T Number](vs []T) []byte {
+	var z T
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vs))), len(vs)*int(unsafe.Sizeof(z)))
 }
 
 // lanes views vs as its underlying scalar type T without copying; callers
@@ -443,22 +479,49 @@ func elemsInto[E Number](p *Payload, dst []E) {
 	}
 }
 
+// float64sInto decodes len(dst) little-endian float64s.
+//
 //s2c2:noalloc
 func (p *Payload) float64sInto(dst []float64) {
-	b := p.b[p.off:]
+	b := p.b[p.off : p.off+8*len(dst)]
+	if hostLittleEndian {
+		copy(bytesOf(dst), b)
+	} else {
+		loopFloat64s(dst, b)
+	}
+	p.off += len(b)
+}
+
+// uint32sInto decodes len(dst) little-endian uint32s.
+//
+//s2c2:noalloc
+func (p *Payload) uint32sInto(dst []uint32) {
+	b := p.b[p.off : p.off+4*len(dst)]
+	if hostLittleEndian {
+		copy(bytesOf(dst), b)
+	} else {
+		loopUint32s(dst, b)
+	}
+	p.off += len(b)
+}
+
+// loopFloat64s decodes b into dst one element at a time: the payload
+// decoder of big-endian hosts.
+//
+//s2c2:noalloc
+func loopFloat64s(dst []float64, b []byte) {
 	for i := range dst {
 		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
-	p.off += 8 * len(dst)
 }
 
+// loopUint32s is loopFloat64s for uint32 lanes.
+//
 //s2c2:noalloc
-func (p *Payload) uint32sInto(dst []uint32) {
-	b := p.b[p.off:]
+func loopUint32s(dst []uint32, b []byte) {
 	for i := range dst {
 		dst[i] = binary.LittleEndian.Uint32(b[4*i:])
 	}
-	p.off += 4 * len(dst)
 }
 
 // growBytes returns s with length n, reallocating only when capacity is

@@ -316,3 +316,58 @@ func TestWriterZeroAllocSteadyState(t *testing.T) {
 		t.Fatalf("steady-state frame encode allocates %v/op, want 0", allocs)
 	}
 }
+
+// TestBulkCopyMatchesElementLoops: the payload encoders' single-copy path
+// writes frames byte-identical to the element-by-element loops big-endian
+// hosts use, and the decoders read those bytes back to the same values.
+func TestBulkCopyMatchesElementLoops(t *testing.T) {
+	floats := []float64{0, math.Copysign(0, -1), 1.5, -2.25, math.Pi, math.Inf(-1),
+		math.NaN(), math.Float64frombits(0x7ff0_0000_dead_beef), math.SmallestNonzeroFloat64, math.MaxFloat64}
+	words := []uint32{0, 1, 0x80, 0xff00, 1<<31 - 2, 0xdeadbeef, math.MaxUint32}
+
+	var net bytes.Buffer
+	w := NewWriter(&net)
+	w.Begin(TypeResult)
+	PutElems(w, floats)
+	PutElems(w, words)
+	if err := w.End(); err != nil {
+		t.Fatal(err)
+	}
+
+	var body []byte
+	body = append(body, byte(TypeResult))
+	body = binary.AppendUvarint(body, uint64(len(floats)))
+	fb := make([]byte, 8*len(floats))
+	loopPutFloat64s(fb, floats)
+	body = binary.AppendUvarint(append(body, fb...), uint64(len(words)))
+	wb := make([]byte, 4*len(words))
+	loopPutUint32s(wb, words)
+	body = append(body, wb...)
+	want := append(binary.AppendUvarint(nil, uint64(len(body))), body...)
+	if !bytes.Equal(net.Bytes(), want) {
+		t.Fatalf("frame bytes differ from the element loops:\n got %x\nwant %x", net.Bytes(), want)
+	}
+
+	r := NewReader(bytes.NewReader(want))
+	_, p, err := r.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotF, gotU := Elems[float64](p, nil), Elems[uint32](p, nil)
+	if err := p.Err(); err != nil {
+		t.Fatal(err)
+	}
+	loopF, loopU := make([]float64, len(floats)), make([]uint32, len(words))
+	loopFloat64s(loopF, fb)
+	loopUint32s(loopU, wb)
+	for i := range floats {
+		if a, b, c := math.Float64bits(gotF[i]), math.Float64bits(loopF[i]), math.Float64bits(floats[i]); a != b || a != c {
+			t.Fatalf("float %d: copy path %x, loop %x, sent %x", i, a, b, c)
+		}
+	}
+	for i := range words {
+		if gotU[i] != loopU[i] || gotU[i] != words[i] {
+			t.Fatalf("uint32 %d: copy path %x, loop %x, sent %x", i, gotU[i], loopU[i], words[i])
+		}
+	}
+}
