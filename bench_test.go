@@ -1,7 +1,7 @@
 package s2c2_test
 
 // The benchmark harness regenerates every evaluation artifact of the
-// paper (one Benchmark per table/figure; see DESIGN.md §4) and measures
+// paper (one Benchmark per table/figure; see the README's Benchmarks section) and measures
 // the throughput-critical kernels of the stack. Run with:
 //
 //	go test -bench=. -benchmem
@@ -57,7 +57,7 @@ func BenchmarkFig11_WasteHighMispred(b *testing.B)  { benchFigure(b, "fig11") }
 func BenchmarkFig12_PolynomialS2C2(b *testing.B)    { benchFigure(b, "fig12") }
 func BenchmarkFig13_Scale50(b *testing.B)           { benchFigure(b, "fig13") }
 
-// ---- Ablations (DESIGN.md §6) -------------------------------------------
+// ---- Ablations (internal/experiments/ablations.go) ----------------------
 
 func BenchmarkAblateTimeout(b *testing.B)     { benchFigure(b, "ablate-timeout") }
 func BenchmarkAblateMultiCode(b *testing.B)   { benchFigure(b, "ablate-multicode") }
@@ -204,7 +204,8 @@ func BenchmarkMDSDecodeParityHeavy(b *testing.B) {
 }
 
 func BenchmarkGFMDSDecodeExact(b *testing.B) {
-	// The exact-field backend (float-vs-GF(p) ablation, DESIGN.md §6).
+	// The exact-field backend (float-vs-GF(p) ablation; see the README's
+	// "Exact distributed rounds over GF(2³¹−1)").
 	rng := rand.New(rand.NewSource(6))
 	rows, cols := 2000, 50
 	data := make([]gf.Elem, rows*cols)

@@ -12,7 +12,7 @@ import (
 	"github.com/coded-computing/s2c2/internal/workloads"
 )
 
-// Ablation studies for the design choices DESIGN.md §6 calls out. These
+// Ablation studies for S2C2's design choices. These
 // go beyond the paper's figures: they quantify why S2C2's specific
 // parameter choices (15% timeout, chunked cyclic layout, over-
 // decomposition granularity, LSTM predictor) matter.

@@ -34,7 +34,7 @@ func RunPredictorAccuracy(c Config) ([]*Table, error) {
 		Headers: []string{"model", "MAPE"},
 		Notes: []string{
 			"paper: LSTM 16.7% MAPE on measured droplet traces, 5pts better than ARIMA(1,0,0)",
-			"traces here are synthetic (DESIGN.md §2); relative ordering is the reproduced result",
+			"traces here are synthetic (internal/trace); relative ordering is the reproduced result",
 		},
 	}
 	for _, m := range models {

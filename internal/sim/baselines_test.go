@@ -57,7 +57,7 @@ func TestUncodedReplicationSpeculatesOnStragglers(t *testing.T) {
 	// Speculation must beat just waiting for the 5x-slow straggler.
 	noSpec := 0.0
 	for w := 0; w < 12; w++ {
-		ft := computeTime(10, trStrag.At(w, 0))
+		ft := computeElems(10*200, trStrag.At(w, 0))
 		if ft > noSpec {
 			noSpec = ft
 		}
@@ -208,8 +208,8 @@ func TestPolyS2C2BeatsConventionalPoly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		aggC.AddPolyRound(rc)
-		aggS.AddPolyRound(rs)
+		aggC.AddRound(&rc.Round)
+		aggS.AddRound(&rs.Round)
 	}
 	if aggS.MeanLatency() >= aggC.MeanLatency() {
 		t.Fatalf("poly S2C2 (%.4f) should beat conventional (%.4f)",

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/coded-computing/s2c2/internal/coding"
 	"github.com/coded-computing/s2c2/internal/kernel"
@@ -10,17 +9,6 @@ import (
 	"github.com/coded-computing/s2c2/internal/sched"
 	"github.com/coded-computing/s2c2/internal/trace"
 )
-
-// TimeoutPolicy is the §4.3 recovery rule: after the first k workers
-// respond, the remaining workers get Fraction (paper: 0.15, matching the
-// predictor's ~16.7% error) of the mean response time of those k; work
-// still pending at the deadline is reassigned to the finished workers.
-type TimeoutPolicy struct {
-	Fraction float64
-}
-
-// DefaultTimeout returns the paper's 15% policy.
-func DefaultTimeout() TimeoutPolicy { return TimeoutPolicy{Fraction: 0.15} }
 
 // CodedCluster simulates an MDS-coded master/worker cluster executing
 // iterative mat-vec rounds.
@@ -45,53 +33,11 @@ type CodedCluster struct {
 	// false if round results must outlive the following iteration.
 	ReuseBuffers bool
 
-	history [][]float64 // observed speed per worker per iteration
-
-	scratch clusterScratch
-}
-
-// clusterScratch is per-cluster round state recycled across iterations:
-// speed vectors, coverage counters, finish-time records, worker partials,
-// and the decode workspace (which also caches LU factorizations of
-// recurring worker sets across rounds).
-type clusterScratch struct {
-	predicted, actual, observed []float64
-	cov                         []int
-	used                        []bool
-	finishes                    []workerFinish
-	partials                    []*coding.Partial
-	partialBuf                  []*coding.Partial // per-worker reusable partials
-	decodeWS                    *coding.DecodeWorkspace
-	result                      []float64
-	planBuf                     sched.PlanBuffer // double-buffered round plans
-}
-
-// Round captures one iteration's outcome and accounting.
-type Round struct {
-	Iter    int
-	Latency float64 // virtual seconds, broadcast to decodable
-	// Result is the decoded product (Numeric mode) or nil.
-	Result []float64
-	// ComputedRows[w] is what worker w was asked to compute (including
-	// reassignments); UsedRows[w] is how much of it the master consumed.
-	ComputedRows []int
-	UsedRows     []int
-	// ReassignedRows counts rows re-executed after the timeout fired.
-	ReassignedRows int
-	// TimedOut lists workers whose results were abandoned.
-	TimedOut []int
-	// Mispredicted reports whether the timeout mechanism fired.
-	Mispredicted bool
-	// BytesMoved is control+data traffic this round (broadcast + results).
-	BytesMoved float64
-}
-
-// WastedFraction returns the round's wasted compute fraction for worker w.
-func (r *Round) WastedFraction(w int) float64 {
-	if r.ComputedRows[w] == 0 {
-		return 0
-	}
-	return float64(r.ComputedRows[w]-r.UsedRows[w]) / float64(r.ComputedRows[w])
+	eng roundEngine
+	// decodeWS also caches LU factorizations of recurring worker sets
+	// across rounds.
+	decodeWS *coding.DecodeWorkspace
+	result   []float64
 }
 
 // PredictSpeeds returns the strategy input for the given iteration: 1.0
@@ -99,393 +45,37 @@ func (r *Round) WastedFraction(w int) float64 {
 // otherwise the forecaster's one-step-ahead estimates — or the true trace
 // speeds when no forecaster is configured (oracle mode).
 func (c *CodedCluster) PredictSpeeds(iter int) []float64 {
-	return c.predictSpeedsInto(make([]float64, c.Trace.NumWorkers()), iter)
-}
-
-// predictSpeedsInto is PredictSpeeds writing into caller scratch.
-func (c *CodedCluster) predictSpeedsInto(speeds []float64, iter int) []float64 {
-	n := c.Trace.NumWorkers()
-	if c.Forecaster == nil {
-		for w := 0; w < n; w++ {
-			speeds[w] = c.Trace.At(w, iter)
-		}
-		return speeds
-	}
-	if len(c.history) == 0 || len(c.history[0]) == 0 {
-		for w := 0; w < n; w++ {
-			speeds[w] = 1
-		}
-		return speeds
-	}
-	for w := 0; w < n; w++ {
-		speeds[w] = c.Forecaster.Predict(c.history[w])
-		if speeds[w] <= 0 {
-			speeds[w] = c.history[w][len(c.history[w])-1]
-		}
-		if speeds[w] <= 0 {
-			speeds[w] = 0.01
-		}
-	}
-	return speeds
-}
-
-// observe records per-worker observed speeds (ℓ/t, as §6.2) after a round.
-func (c *CodedCluster) observe(observed []float64) {
-	n := len(observed)
-	if c.history == nil {
-		c.history = make([][]float64, n)
-	}
-	for w := 0; w < n; w++ {
-		v := observed[w]
-		if v <= 0 {
-			// No observation (idle worker): carry the last estimate so the
-			// forecaster keeps a continuous series.
-			if len(c.history[w]) > 0 {
-				v = c.history[w][len(c.history[w])-1]
-			} else {
-				v = 1
-			}
-		}
-		c.history[w] = append(c.history[w], v)
-	}
+	return c.eng.history.predictInto(make([]float64, c.Trace.NumWorkers()), c.Forecaster, c.Trace, iter)
 }
 
 // RunIteration executes one coded round: plan from predicted speeds,
 // simulate worker finish times from true trace speeds, apply the timeout/
-// reassignment recovery, decode (in Numeric mode), and update the
-// observed-speed history.
+// reassignment recovery, update the observed-speed history, and decode
+// (in Numeric mode).
 func (c *CodedCluster) RunIteration(iter int, x []float64) (*Round, error) {
-	n := c.Trace.NumWorkers()
-	c.scratch.predicted = kernel.Grow(c.scratch.predicted, n)
-	predicted := c.predictSpeedsInto(c.scratch.predicted, iter)
-	plan, err := c.scratch.planBuf.Next(c.Strategy, predicted)
+	plan, err := c.eng.plan(c.Strategy, c.Forecaster, c.Trace, iter)
 	if err != nil {
 		return nil, fmt.Errorf("sim: iteration %d: %w", iter, err)
 	}
-	c.scratch.actual = kernel.Grow(c.scratch.actual, n)
-	actual := c.scratch.actual
-	for w := 0; w < n; w++ {
-		actual[w] = c.Trace.At(w, iter)
+	round := &Round{Iter: iter}
+	cost := rowCost{rows: c.Enc.BlockRows, macs: float64(c.Enc.Cols), bytes: 8}
+	if err := c.eng.run(round, plan, cost, c.Strategy.NeedK(), float64(8*len(x)), c.Comm, c.Timeout); err != nil {
+		return nil, fmt.Errorf("sim: iteration %d: %w", iter, err)
 	}
-	k := c.Strategy.NeedK()
-	round, observed, err := c.simulateRound(iter, plan, actual, predicted, k, x)
+	if !c.Numeric {
+		return round, nil
+	}
+	if c.decodeWS == nil {
+		c.decodeWS = c.Enc.NewDecodeWorkspace()
+	}
+	c.result = kernel.Grow(c.result, c.Enc.OrigRows)
+	dec, err := c.Enc.DecodeMatVecInto(c.result, c.eng.partialsFor(round, plan, c.Enc, x), c.decodeWS)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("sim: iteration %d decode: %w", iter, err)
 	}
-	c.observe(observed)
+	if !c.ReuseBuffers {
+		dec = append([]float64(nil), dec...)
+	}
+	round.Result = dec
 	return round, nil
-}
-
-// workerFinish orders workers by completion time.
-type workerFinish struct {
-	w      int
-	finish float64
-	rows   int
-}
-
-func (c *CodedCluster) simulateRound(iter int, plan *sched.Plan, actual, predicted []float64, k int, x []float64) (*Round, []float64, error) {
-	n := len(actual)
-	blockRows := c.Enc.BlockRows
-	round := &Round{
-		Iter:         iter,
-		ComputedRows: make([]int, n),
-		UsedRows:     make([]int, n),
-	}
-	// Broadcast of x to all workers (concurrent sends; one transfer time).
-	xBytes := float64(8 * len(x))
-	broadcast := c.Comm.TransferTime(xBytes)
-	round.BytesMoved += xBytes * float64(n)
-
-	finishes := c.scratch.finishes[:0]
-	for w := 0; w < n; w++ {
-		rows := plan.RowsFor(w)
-		if rows == 0 {
-			continue
-		}
-		round.ComputedRows[w] = rows
-		ft := broadcast + computeElems(float64(rows*c.Enc.Cols), actual[w]) + c.Comm.TransferTime(float64(8*rows))
-		finishes = append(finishes, workerFinish{w: w, finish: ft, rows: rows})
-	}
-	c.scratch.finishes = finishes
-	if len(finishes) < k {
-		return nil, nil, fmt.Errorf("sim: plan uses %d workers, need at least %d", len(finishes), k)
-	}
-	sort.Slice(finishes, func(i, j int) bool { return finishes[i].finish < finishes[j].finish })
-
-	// Find when per-row coverage k is first satisfied, walking arrivals.
-	cov := kernel.GrowInts(c.scratch.cov, blockRows)
-	for i := range cov {
-		cov[i] = 0
-	}
-	c.scratch.cov = cov
-	needed := blockRows
-	coveredAt := -1.0
-	usedUpTo := -1 // index into finishes of last needed arrival
-	for i, f := range finishes {
-		for _, rg := range plan.Assignments[f.w] {
-			for r := rg.Lo; r < rg.Hi; r++ {
-				cov[r]++
-				if cov[r] == k {
-					needed--
-				}
-			}
-		}
-		if needed == 0 {
-			coveredAt = f.finish
-			usedUpTo = i
-			break
-		}
-	}
-
-	// Timeout deadline per §4.3: after the first k responses, stragglers
-	// get Fraction of the mean response time. Two refinements keep the
-	// rule sound when S2C2 assigns *unequal* loads by design: the deadline
-	// never precedes (a) the k-th response (the paper measures from there)
-	// or (b) (1+Fraction) × the plan's own expected makespan under the
-	// predicted speeds — a worker on schedule with its assignment is not a
-	// straggler merely because lightly-loaded peers answered sooner.
-	meanK := 0.0
-	for i := 0; i < k; i++ {
-		meanK += finishes[i].finish
-	}
-	meanK /= float64(k)
-	deadline := meanK * (1 + c.Timeout.Fraction)
-	planned := 0.0
-	for w := 0; w < n; w++ {
-		rows := plan.RowsFor(w)
-		if rows == 0 {
-			continue
-		}
-		pf := broadcast + computeElems(float64(rows*c.Enc.Cols), predicted[w]) + c.Comm.TransferTime(float64(8*rows))
-		if pf > planned {
-			planned = pf
-		}
-	}
-	if d := planned * (1 + c.Timeout.Fraction); d > deadline {
-		deadline = d
-	}
-	if deadline < finishes[k-1].finish {
-		deadline = finishes[k-1].finish
-	}
-
-	c.scratch.observed = kernel.GrowZeroed(c.scratch.observed, n)
-	observed := c.scratch.observed
-	used := c.scratch.used
-	if cap(used) < n {
-		used = make([]bool, n)
-	}
-	used = used[:n]
-	for i := range used {
-		used[i] = false
-	}
-	c.scratch.used = used
-
-	if coveredAt >= 0 && coveredAt <= deadline {
-		// Normal path: coverage reached before the timeout.
-		round.Latency = coveredAt
-		for i := 0; i <= usedUpTo; i++ {
-			used[finishes[i].w] = true
-			round.UsedRows[finishes[i].w] = finishes[i].rows
-		}
-		// Workers finishing later had their results ignored (conventional
-		// MDS's discarded stragglers).
-		for i := usedUpTo + 1; i < len(finishes); i++ {
-			round.UsedRows[finishes[i].w] = 0
-		}
-	} else {
-		// Mis-prediction: some assigned workers blew the deadline. Their
-		// pending coverage is re-executed by finished workers.
-		round.Mispredicted = true
-		completed := map[int]bool{}
-		for _, f := range finishes {
-			if f.finish <= deadline {
-				completed[f.w] = true
-				used[f.w] = true
-				round.UsedRows[f.w] = f.rows
-			} else {
-				round.TimedOut = append(round.TimedOut, f.w)
-			}
-		}
-		// Recompute coverage counting only completed workers.
-		for r := range cov {
-			cov[r] = 0
-		}
-		for w := range completed {
-			for _, rg := range plan.Assignments[w] {
-				for r := rg.Lo; r < rg.Hi; r++ {
-					cov[r]++
-				}
-			}
-		}
-		// Assign missing coverage row-by-row to completed workers that do
-		// not already cover the row, balancing by projected extra time.
-		type helper struct {
-			w     int
-			extra int
-			has   []bool
-		}
-		var helpers []helper
-		for w := range completed {
-			has := make([]bool, blockRows)
-			for _, rg := range plan.Assignments[w] {
-				for r := rg.Lo; r < rg.Hi; r++ {
-					has[r] = true
-				}
-			}
-			helpers = append(helpers, helper{w: w, has: has})
-		}
-		sort.Slice(helpers, func(i, j int) bool { return helpers[i].w < helpers[j].w })
-		reassigned := 0
-		for r := 0; r < blockRows; r++ {
-			for cov[r] < k {
-				// Pick the helper with the least projected extra work that
-				// can still add coverage for this row.
-				best := -1
-				bestLoad := 0.0
-				for hi := range helpers {
-					h := &helpers[hi]
-					if h.has[r] {
-						continue
-					}
-					load := float64(h.extra+1) / maxf(actual[h.w], 1e-9)
-					if best < 0 || load < bestLoad {
-						best, bestLoad = hi, load
-					}
-				}
-				if best < 0 {
-					return nil, nil, fmt.Errorf("sim: iteration %d: cannot re-cover row %d", iter, r)
-				}
-				helpers[best].has[r] = true
-				helpers[best].extra++
-				cov[r]++
-				reassigned++
-			}
-		}
-		round.ReassignedRows = reassigned
-		// Completion: deadline + assignment message + helper compute+reply.
-		latest := deadline
-		for _, h := range helpers {
-			if h.extra == 0 {
-				continue
-			}
-			round.ComputedRows[h.w] += h.extra
-			round.UsedRows[h.w] += h.extra
-			ft := deadline + c.Comm.TransferTime(64) + computeElems(float64(h.extra*c.Enc.Cols), actual[h.w]) + c.Comm.TransferTime(float64(8*h.extra))
-			if ft > latest {
-				latest = ft
-			}
-			round.BytesMoved += 64 + float64(8*h.extra)
-		}
-		round.Latency = latest
-	}
-
-	// Result bytes from used workers.
-	for w, used := range round.UsedRows {
-		round.BytesMoved += float64(8 * used)
-		_ = w
-	}
-
-	// Observed speeds from response times (§6.2: ℓ/t). A timed-out
-	// worker's result still arrives eventually — off the critical path —
-	// so the master measures its true rate and the predictor converges
-	// instead of repeating the same over-estimate every round.
-	for _, f := range finishes {
-		ct := f.finish - broadcast - c.Comm.TransferTime(float64(8*f.rows))
-		if ct <= 0 {
-			ct = 1e-9
-		}
-		observed[f.w] = float64(f.rows*c.Enc.Cols) / ct / ElemRate
-	}
-
-	// Numeric execution and decode. Worker partials, the decode workspace
-	// (with its cached LU factorizations), and the result vector are all
-	// recycled across rounds.
-	if c.Numeric {
-		if c.scratch.partialBuf == nil {
-			c.scratch.partialBuf = make([]*coding.Partial, n)
-		}
-		partials := c.scratch.partials[:0]
-		for w := 0; w < n; w++ {
-			if used[w] && plan.RowsFor(w) > 0 {
-				c.scratch.partialBuf[w] = c.Enc.WorkerComputeInto(w, x, plan.Assignments[w], c.scratch.partialBuf[w])
-				partials = append(partials, c.scratch.partialBuf[w])
-			}
-		}
-		c.scratch.partials = partials
-		if round.Mispredicted {
-			// The timing pass reassigned coverage from timed-out workers to
-			// finished ones; mirror that here so the decode has coverage k.
-			partials = c.numericRecovery(partials, k, x)
-		}
-		if c.scratch.decodeWS == nil {
-			c.scratch.decodeWS = c.Enc.NewDecodeWorkspace()
-		}
-		c.scratch.result = kernel.Grow(c.scratch.result, c.Enc.OrigRows)
-		dec, err := c.Enc.DecodeMatVecInto(c.scratch.result, partials, c.scratch.decodeWS)
-		if err != nil {
-			return nil, nil, fmt.Errorf("sim: iteration %d decode: %w", iter, err)
-		}
-		if !c.ReuseBuffers {
-			dec = append([]float64(nil), dec...)
-		}
-		round.Result = dec
-	}
-	return round, observed, nil
-}
-
-// numericRecovery adds helper partials so that every row reaches coverage
-// k among the supplied partials, mirroring the timing-model reassignment.
-func (c *CodedCluster) numericRecovery(partials []*coding.Partial, k int, x []float64) []*coding.Partial {
-	blockRows := c.Enc.BlockRows
-	cov := make([]int, blockRows)
-	has := map[int][]bool{}
-	for _, p := range partials {
-		h := has[p.Worker]
-		if h == nil {
-			h = make([]bool, blockRows)
-			has[p.Worker] = h
-		}
-		for _, rg := range p.Ranges {
-			for r := rg.Lo; r < rg.Hi; r++ {
-				if !h[r] {
-					h[r] = true
-					cov[r]++
-				}
-			}
-		}
-	}
-	extraRows := map[int][]coding.Range{}
-	workers := make([]int, 0, len(has))
-	for w := range has {
-		workers = append(workers, w)
-	}
-	sort.Ints(workers)
-	for r := 0; r < blockRows; r++ {
-		for cov[r] < k {
-			placed := false
-			for _, w := range workers {
-				if !has[w][r] {
-					has[w][r] = true
-					cov[r]++
-					extraRows[w] = append(extraRows[w], coding.Range{Lo: r, Hi: r + 1})
-					placed = true
-					break
-				}
-			}
-			if !placed {
-				break // cannot recover; decode will surface the error
-			}
-		}
-	}
-	for w, ranges := range extraRows {
-		partials = append(partials, c.Enc.WorkerCompute(w, x, ranges))
-	}
-	return partials
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,22 +1,31 @@
 // Package sim is the discrete-event cluster substrate that stands in for
-// the paper's physical testbeds (local Xeon cluster, Digital Ocean
-// droplets — see DESIGN.md §2). Workers actually execute their coded
-// kernels on real data, so decoded results are verifiably correct, while
-// elapsed time is *virtual*: it is derived from per-worker speed traces
-// and a communication model rather than wall-clock measurement. That
-// makes every experiment deterministic, seedable, and fast.
+// the paper's physical testbeds (a local Xeon cluster and Digital Ocean
+// droplets; the speed traces come from internal/trace). Workers actually
+// execute their coded kernels on real data, so decoded results are
+// verifiably correct, while elapsed time is *virtual*: it is derived from
+// per-worker speed traces and a communication model rather than
+// wall-clock measurement. That makes every experiment deterministic,
+// seedable, and fast.
 //
-// The package provides four engines matching the paper's evaluation:
+// Coded rounds run on one round model (round.go): predict speeds from the
+// observed history, plan, time every worker at its true speed, walk
+// arrivals to first-k coverage, apply the §4.3 timeout and reassign the
+// timed-out coverage to finished workers, account the round and record
+// the observed speeds. Two codes drive it and differ only in what a
+// partition row costs and how results are computed and decoded:
 //
 //   - CodedCluster: MDS-coded mat-vec rounds under any sched.Strategy
-//     (conventional MDS, basic S2C2, general S2C2), with the §4.3
-//     timeout/reassignment recovery.
-//   - PolyCluster: polynomial-coded bilinear (Hessian) rounds ± S2C2.
+//     (conventional MDS, basic S2C2, general S2C2).
+//   - PolyCluster: polynomial-coded bilinear (Hessian) rounds ± S2C2,
+//     with recovery threshold a·b in place of k.
+//
+// Two uncoded baselines have their own round logic:
+//
 //   - UncodedReplication: the Hadoop/LATE-style 3-replication baseline
 //     with speculative re-execution.
 //   - OverDecomposition: the Charm++-style baseline combining 4×
 //     over-decomposition, partial replication and prediction-driven
-//     partition migration.
+//     partition migration; it shares the coded clusters' speed history.
 package sim
 
 // CommModel is the network cost model: every message pays Latency, and
@@ -46,10 +55,6 @@ func (c CommModel) TransferTime(bytes float64) float64 {
 // descent — correctly weighted.
 const ElemRate = 200000.0
 
-// SpeedScale is the legacy rows-per-second interpretation used where a
-// kernel's row width is already folded into the work estimate.
-const SpeedScale = 1000.0
-
 // computeElems returns the virtual seconds a worker at `speed` needs for
 // `elems` multiply-accumulates. Zero/negative speed is guarded with a
 // huge constant; callers must not schedule work on such workers.
@@ -61,9 +66,4 @@ func computeElems(elems float64, speed float64) float64 {
 		return 1e18
 	}
 	return elems / (speed * ElemRate)
-}
-
-// computeTime is row-based compute cost at a nominal 200-wide row.
-func computeTime(rows int, speed float64) float64 {
-	return computeElems(float64(rows)*200, speed)
 }

@@ -106,15 +106,13 @@ func RunIterative(w workloads.Iterative, cfg JobConfig) (*JobResult, error) {
 	// (in timing-only mode) the locally computed products.
 	outputs := make([][]float64, len(matrices))
 	local := make([][]float64, len(matrices))
-	var iterComputed, iterUsed []int
+	// One iteration's accounting sums its phases' rounds.
+	n := cfg.Trace.NumWorkers()
+	it := Round{ComputedRows: make([]int, n), UsedRows: make([]int, n)}
 	for iter := 0; iter < cfg.MaxIter; iter++ {
 		for p := range outputs {
 			outputs[p] = nil
 		}
-		iterLatency := 0.0
-		mispred := false
-		reassigned := 0
-		bytes := 0.0
 		for p := range matrices {
 			in := w.PhaseInput(p, state, outputs[:p])
 			round, err := clusters[p].RunIteration(iter, in)
@@ -128,25 +126,20 @@ func RunIterative(w workloads.Iterative, cfg JobConfig) (*JobResult, error) {
 				mat.MatVecInto(matrices[p], in, local[p])
 				outputs[p] = local[p]
 			}
-			iterLatency += round.Latency
-			if iterComputed == nil {
-				iterComputed = make([]int, len(round.ComputedRows))
-				iterUsed = make([]int, len(round.UsedRows))
-			}
+			it.Latency += round.Latency
 			for i := range round.ComputedRows {
-				iterComputed[i] += round.ComputedRows[i]
-				iterUsed[i] += round.UsedRows[i]
+				it.ComputedRows[i] += round.ComputedRows[i]
+				it.UsedRows[i] += round.UsedRows[i]
 			}
-			mispred = mispred || round.Mispredicted
-			reassigned += round.ReassignedRows
-			bytes += round.BytesMoved
+			it.Mispredicted = it.Mispredicted || round.Mispredicted
+			it.ReassignedRows += round.ReassignedRows
+			it.BytesMoved += round.BytesMoved
 			res.PerPhase[p].AddRound(round)
 		}
-		res.Aggregate.addCommon(iterLatency, iterComputed, iterUsed, mispred, reassigned, bytes)
-		for i := range iterComputed {
-			iterComputed[i] = 0
-			iterUsed[i] = 0
-		}
+		res.Aggregate.AddRound(&it)
+		clear(it.ComputedRows)
+		clear(it.UsedRows)
+		it.Latency, it.Mispredicted, it.ReassignedRows, it.BytesMoved = 0, false, 0, 0
 		var done bool
 		state, done = w.Update(state, outputs)
 		res.Iterations = iter + 1

@@ -33,7 +33,7 @@ type OverDecomposition struct {
 	partBytes float64
 	holds     []map[int]bool // holds[w] = partitions worker w stores
 	assigned  [][]int        // assigned[w] = partitions worker w computes
-	history   [][]float64
+	history   speedHistory
 }
 
 // Name identifies the baseline in experiment output.
@@ -97,7 +97,7 @@ func (o *OverDecomposition) RunIteration(iter int, x []float64) (*OverDecompRoun
 	for w := 0; w < n; w++ {
 		actual[w] = o.Trace.At(w, iter)
 	}
-	predicted := o.predictSpeeds(iter, actual)
+	predicted := o.history.predictInto(make([]float64, n), o.Forecaster, o.Trace, iter)
 
 	round := &OverDecompRound{Iter: iter}
 	xBytes := float64(8 * len(x))
@@ -147,6 +147,7 @@ func (o *OverDecomposition) RunIteration(iter int, x []float64) (*OverDecompRoun
 	// Execute at true speeds; migrations are on the critical path (§7.2.2).
 	broadcast := o.Comm.TransferTime(xBytes)
 	latest := 0.0
+	observed := make([]float64, n)
 	for w := 0; w < n; w++ {
 		rows := len(o.assigned[w]) * o.rowsPer
 		if rows == 0 {
@@ -158,8 +159,9 @@ func (o *OverDecomposition) RunIteration(iter int, x []float64) (*OverDecompRoun
 		}
 		round.BytesMoved += float64(8 * rows)
 		// Observed speed for the forecaster.
-		o.recordObservation(w, rows, ft-broadcast-moveCost[w])
+		observed[w] = float64(rows*o.A.Cols()) / (ft - broadcast - moveCost[w]) / ElemRate
 	}
+	o.history.record(observed)
 	round.Latency = latest
 
 	if o.Numeric {
@@ -174,44 +176,6 @@ func (o *OverDecomposition) RunIteration(iter int, x []float64) (*OverDecompRoun
 		round.Result = y[:o.A.Rows()]
 	}
 	return round, nil
-}
-
-func (o *OverDecomposition) predictSpeeds(iter int, actual []float64) []float64 {
-	n := len(actual)
-	if o.Forecaster == nil {
-		return actual
-	}
-	out := make([]float64, n)
-	if len(o.history) == 0 || len(o.history[0]) == 0 {
-		for i := range out {
-			out[i] = 1
-		}
-		return out
-	}
-	for w := 0; w < n; w++ {
-		out[w] = o.Forecaster.Predict(o.history[w])
-		if out[w] <= 0 {
-			out[w] = o.history[w][len(o.history[w])-1]
-		}
-		if out[w] <= 0 {
-			out[w] = 0.01
-		}
-	}
-	return out
-}
-
-func (o *OverDecomposition) recordObservation(w, rows int, compute float64) {
-	if o.Forecaster == nil {
-		return
-	}
-	if o.history == nil {
-		o.history = make([][]float64, o.Trace.NumWorkers())
-	}
-	v := 1.0
-	if compute > 0 {
-		v = float64(rows*o.A.Cols()) / compute / ElemRate
-	}
-	o.history[w] = append(o.history[w], v)
 }
 
 // StorageFractions returns, per worker, the fraction of the full data

@@ -2,10 +2,8 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/coded-computing/s2c2/internal/coding"
-	"github.com/coded-computing/s2c2/internal/kernel"
 	"github.com/coded-computing/s2c2/internal/mat"
 	"github.com/coded-computing/s2c2/internal/predict"
 	"github.com/coded-computing/s2c2/internal/sched"
@@ -15,8 +13,8 @@ import (
 // PolyCluster simulates polynomial-coded bilinear rounds (the §7.2.3
 // Hessian workload) with or without S2C2 workload distribution. The
 // recovery threshold is a·b instead of k, and a worker's per-row kernel is
-// BlockColsB multiply-accumulate columns wide; otherwise the timing model
-// matches CodedCluster.
+// BlockColsB multiply-accumulate columns wide; otherwise the round model
+// is CodedCluster's.
 type PolyCluster struct {
 	Enc        *coding.EncodedBilinear
 	Strategy   sched.Strategy
@@ -29,354 +27,49 @@ type PolyCluster struct {
 	// storage overwritten by the next RunIteration (see CodedCluster).
 	ReuseBuffers bool
 
-	history [][]float64
-
-	// Per-round scratch recycled across iterations (see clusterScratch).
-	predictBuf []float64
-	actualBuf  []float64
-	finishes   []workerFinish
-	cov        []int
-	used       []bool
-	observed   []float64
-	partialBuf []*coding.Partial
-	partials   []*coding.Partial
-	decodeWS   *coding.PolyDecodeWorkspace
-	result     *mat.Dense
-	planBuf    sched.PlanBuffer // double-buffered round plans
+	eng      roundEngine
+	decodeWS *coding.PolyDecodeWorkspace
+	result   *mat.Dense
 }
 
-// PolyRound reports one bilinear iteration.
+// PolyRound reports one bilinear iteration: Round's accounting, with the
+// decoded product in Result (the embedded Round.Result stays nil).
 type PolyRound struct {
-	Iter           int
-	Latency        float64
-	Result         *mat.Dense
-	ComputedRows   []int
-	UsedRows       []int
-	ReassignedRows int
-	Mispredicted   bool
-	BytesMoved     float64
-}
-
-// predictSpeeds mirrors CodedCluster.predictSpeedsInto, writing into the
-// cluster's reusable speed scratch.
-func (c *PolyCluster) predictSpeeds(iter int) []float64 {
-	n := c.Trace.NumWorkers()
-	c.predictBuf = kernel.Grow(c.predictBuf, n)
-	speeds := c.predictBuf
-	if c.Forecaster == nil {
-		for w := 0; w < n; w++ {
-			speeds[w] = c.Trace.At(w, iter)
-		}
-		return speeds
-	}
-	if len(c.history) == 0 || len(c.history[0]) == 0 {
-		for w := range speeds {
-			speeds[w] = 1
-		}
-		return speeds
-	}
-	for w := 0; w < n; w++ {
-		speeds[w] = c.Forecaster.Predict(c.history[w])
-		if speeds[w] <= 0 {
-			speeds[w] = 0.01
-		}
-	}
-	return speeds
+	Round
+	Result *mat.Dense
 }
 
 // RunIteration executes one Hessian round on the diagonal vector d.
 //
-// Every assigned row costs RowsM·BlockColsB multiply-accumulates — far
-// more than a mat-vec row — so compute time is scaled by that row weight
-// in multiply-accumulates (ElemRate units).
+// One output row of Ã_wᵀ·diag(d)·B̃_w costs RowsM·BlockColsB
+// multiply-accumulates — far more than a mat-vec row — and its reply
+// carries BlockColsB values.
 func (c *PolyCluster) RunIteration(iter int, d []float64) (*PolyRound, error) {
-	n := c.Trace.NumWorkers()
-	predicted := c.predictSpeeds(iter)
-	plan, err := c.planBuf.Next(c.Strategy, predicted)
+	plan, err := c.eng.plan(c.Strategy, c.Forecaster, c.Trace, iter)
 	if err != nil {
 		return nil, fmt.Errorf("sim: poly iteration %d: %w", iter, err)
 	}
-	threshold := c.Strategy.NeedK()
-	c.actualBuf = kernel.Grow(c.actualBuf, n)
-	actual := c.actualBuf
-	for w := 0; w < n; w++ {
-		actual[w] = c.Trace.At(w, iter)
+	round := &PolyRound{Round: Round{Iter: iter}}
+	cost := rowCost{rows: c.Enc.BlockColsA, macs: float64(c.Enc.RowsM * c.Enc.BlockColsB), bytes: 8 * c.Enc.BlockColsB}
+	if err := c.eng.run(&round.Round, plan, cost, c.Strategy.NeedK(), float64(8*len(d)), c.Comm, c.Timeout); err != nil {
+		return nil, fmt.Errorf("sim: poly iteration %d: %w", iter, err)
 	}
-	blockRows := c.Enc.BlockColsA
-	round := &PolyRound{
-		Iter:         iter,
-		ComputedRows: make([]int, n),
-		UsedRows:     make([]int, n),
+	if !c.Numeric {
+		return round, nil
 	}
-	dBytes := float64(8 * len(d))
-	broadcast := c.Comm.TransferTime(dBytes)
-	round.BytesMoved += dBytes * float64(n)
-
-	// Row weight: one output row of Ã_wᵀ·diag(d)·B̃_w costs
-	// RowsM × BlockColsB multiply-accumulates.
-	rowWeight := float64(c.Enc.RowsM * c.Enc.BlockColsB)
-
-	finishes := c.finishes[:0]
-	for w := 0; w < n; w++ {
-		rows := plan.RowsFor(w)
-		if rows == 0 {
-			continue
-		}
-		round.ComputedRows[w] = rows
-		ft := broadcast + computeElems(float64(rows)*rowWeight, actual[w]) + c.Comm.TransferTime(float64(8*rows*c.Enc.BlockColsB))
-		finishes = append(finishes, workerFinish{w: w, finish: ft, rows: rows})
+	if c.decodeWS == nil {
+		c.decodeWS = c.Enc.NewDecodeWorkspace()
 	}
-	c.finishes = finishes
-	if len(finishes) < threshold {
-		return nil, fmt.Errorf("sim: poly plan uses %d workers, need %d", len(finishes), threshold)
+	if c.result == nil {
+		c.result = mat.New(c.Enc.ColsA, c.Enc.ColsB)
 	}
-	sort.Slice(finishes, func(i, j int) bool { return finishes[i].finish < finishes[j].finish })
-
-	cov := kernel.GrowInts(c.cov, blockRows)
-	for i := range cov {
-		cov[i] = 0
+	dec, err := c.Enc.DecodeInto(c.result, c.eng.partialsFor(&round.Round, plan, c.Enc, d), c.decodeWS)
+	if err != nil {
+		return nil, fmt.Errorf("sim: poly iteration %d decode: %w", iter, err)
 	}
-	c.cov = cov
-	needed := blockRows
-	coveredAt := -1.0
-	usedUpTo := -1
-	for i, f := range finishes {
-		for _, rg := range plan.Assignments[f.w] {
-			for r := rg.Lo; r < rg.Hi; r++ {
-				cov[r]++
-				if cov[r] == threshold {
-					needed--
-				}
-			}
-		}
-		if needed == 0 {
-			coveredAt = f.finish
-			usedUpTo = i
-			break
-		}
+	if !c.ReuseBuffers {
+		dec = dec.Clone()
 	}
-	// Deadline rule as in CodedCluster.simulateRound: first-threshold mean
-	// plus the plan's expected makespan under predicted speeds.
-	meanK := 0.0
-	for i := 0; i < threshold; i++ {
-		meanK += finishes[i].finish
-	}
-	meanK /= float64(threshold)
-	deadline := meanK * (1 + c.Timeout.Fraction)
-	planned := 0.0
-	for w := 0; w < n; w++ {
-		rows := plan.RowsFor(w)
-		if rows == 0 {
-			continue
-		}
-		pf := broadcast + computeElems(float64(rows)*rowWeight, predicted[w]) + c.Comm.TransferTime(float64(8*rows*c.Enc.BlockColsB))
-		if pf > planned {
-			planned = pf
-		}
-	}
-	if d := planned * (1 + c.Timeout.Fraction); d > deadline {
-		deadline = d
-	}
-	if deadline < finishes[threshold-1].finish {
-		deadline = finishes[threshold-1].finish
-	}
-
-	usedWorkers := c.used
-	if cap(usedWorkers) < n {
-		usedWorkers = make([]bool, n)
-	}
-	usedWorkers = usedWorkers[:n]
-	for i := range usedWorkers {
-		usedWorkers[i] = false
-	}
-	c.used = usedWorkers
-	if coveredAt >= 0 && coveredAt <= deadline {
-		round.Latency = coveredAt
-		for i := 0; i <= usedUpTo; i++ {
-			usedWorkers[finishes[i].w] = true
-			round.UsedRows[finishes[i].w] = finishes[i].rows
-		}
-	} else {
-		round.Mispredicted = true
-		for r := range cov {
-			cov[r] = 0
-		}
-		for _, f := range finishes {
-			if f.finish <= deadline {
-				usedWorkers[f.w] = true
-				round.UsedRows[f.w] = f.rows
-				for _, rg := range plan.Assignments[f.w] {
-					for r := rg.Lo; r < rg.Hi; r++ {
-						cov[r]++
-					}
-				}
-			}
-		}
-		// Reassign deficient rows among finished workers.
-		type helper struct {
-			w     int
-			extra int
-			has   []bool
-		}
-		var helpers []helper
-		for w, u := range usedWorkers {
-			if !u {
-				continue
-			}
-			has := make([]bool, blockRows)
-			for _, rg := range plan.Assignments[w] {
-				for r := rg.Lo; r < rg.Hi; r++ {
-					has[r] = true
-				}
-			}
-			helpers = append(helpers, helper{w: w, has: has})
-		}
-		for r := 0; r < blockRows; r++ {
-			for cov[r] < threshold {
-				best := -1
-				bestLoad := 0.0
-				for hi := range helpers {
-					h := &helpers[hi]
-					if h.has[r] {
-						continue
-					}
-					load := float64(h.extra+1) / maxf(actual[h.w], 1e-9)
-					if best < 0 || load < bestLoad {
-						best, bestLoad = hi, load
-					}
-				}
-				if best < 0 {
-					return nil, fmt.Errorf("sim: poly iteration %d: cannot re-cover row %d", iter, r)
-				}
-				helpers[best].has[r] = true
-				helpers[best].extra++
-				cov[r]++
-				round.ReassignedRows++
-			}
-		}
-		latest := deadline
-		for _, h := range helpers {
-			if h.extra == 0 {
-				continue
-			}
-			round.ComputedRows[h.w] += h.extra
-			round.UsedRows[h.w] += h.extra
-			ft := deadline + c.Comm.TransferTime(64) + computeElems(float64(h.extra)*rowWeight, actual[h.w]) + c.Comm.TransferTime(float64(8*h.extra*c.Enc.BlockColsB))
-			if ft > latest {
-				latest = ft
-			}
-		}
-		round.Latency = latest
-	}
-
-	for _, used := range round.UsedRows {
-		round.BytesMoved += float64(8 * used * c.Enc.BlockColsB)
-	}
-
-	// Observed speeds for the forecaster.
-	c.observed = kernel.GrowZeroed(c.observed, n)
-	observed := c.observed
-	for _, f := range finishes {
-		ct := f.finish - broadcast
-		if ct <= 0 {
-			ct = 1e-9
-		}
-		observed[f.w] = float64(f.rows) * rowWeight / ct / ElemRate
-	}
-	if c.history == nil {
-		c.history = make([][]float64, n)
-	}
-	for w := 0; w < n; w++ {
-		v := observed[w]
-		if v <= 0 {
-			if len(c.history[w]) > 0 {
-				v = c.history[w][len(c.history[w])-1]
-			} else {
-				v = 1
-			}
-		}
-		c.history[w] = append(c.history[w], v)
-	}
-
-	if c.Numeric {
-		if c.partialBuf == nil {
-			c.partialBuf = make([]*coding.Partial, n)
-		}
-		partials := c.partials[:0]
-		for w := 0; w < n; w++ {
-			if usedWorkers[w] && plan.RowsFor(w) > 0 {
-				c.partialBuf[w] = c.Enc.WorkerComputeInto(w, d, plan.Assignments[w], c.partialBuf[w])
-				partials = append(partials, c.partialBuf[w])
-			}
-		}
-		c.partials = partials
-		if round.Mispredicted {
-			partials = c.numericRecovery(partials, threshold, d)
-		}
-		if c.decodeWS == nil {
-			c.decodeWS = c.Enc.NewDecodeWorkspace()
-		}
-		if c.result == nil {
-			c.result = mat.New(c.Enc.ColsA, c.Enc.ColsB)
-		}
-		dec, err := c.Enc.DecodeInto(c.result, partials, c.decodeWS)
-		if err != nil {
-			return nil, fmt.Errorf("sim: poly iteration %d decode: %w", iter, err)
-		}
-		if !c.ReuseBuffers {
-			dec = dec.Clone()
-		}
-		round.Result = dec
-	}
+	round.Result = dec
 	return round, nil
-}
-
-// numericRecovery mirrors CodedCluster.numericRecovery for the bilinear
-// backend.
-func (c *PolyCluster) numericRecovery(partials []*coding.Partial, threshold int, d []float64) []*coding.Partial {
-	blockRows := c.Enc.BlockColsA
-	cov := make([]int, blockRows)
-	has := map[int][]bool{}
-	for _, p := range partials {
-		h := has[p.Worker]
-		if h == nil {
-			h = make([]bool, blockRows)
-			has[p.Worker] = h
-		}
-		for _, rg := range p.Ranges {
-			for r := rg.Lo; r < rg.Hi; r++ {
-				if !h[r] {
-					h[r] = true
-					cov[r]++
-				}
-			}
-		}
-	}
-	workers := make([]int, 0, len(has))
-	for w := range has {
-		workers = append(workers, w)
-	}
-	sort.Ints(workers)
-	extraRows := map[int][]coding.Range{}
-	for r := 0; r < blockRows; r++ {
-		for cov[r] < threshold {
-			placed := false
-			for _, w := range workers {
-				if !has[w][r] {
-					has[w][r] = true
-					cov[r]++
-					extraRows[w] = append(extraRows[w], coding.Range{Lo: r, Hi: r + 1})
-					placed = true
-					break
-				}
-			}
-			if !placed {
-				break
-			}
-		}
-	}
-	for w, ranges := range extraRows {
-		partials = append(partials, c.Enc.WorkerCompute(w, d, ranges))
-	}
-	return partials
 }
